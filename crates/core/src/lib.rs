@@ -117,4 +117,4 @@ pub use session::{Session, SessionId};
 pub use shard::DeviceShard;
 pub use state::BlockState;
 pub use typed::Shared;
-pub use xfer::{DmaEngine, DmaJob, DmaQueue, EngineStats, Purpose, TransferPlan};
+pub use xfer::{DmaEngine, DmaJob, DmaQueue, EngineStats, Purpose, TransferPlan, INLINE_MAX};

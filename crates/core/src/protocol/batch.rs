@@ -59,8 +59,8 @@ impl CoherenceProtocol for BatchUpdate {
 
     fn on_alloc(&mut self, rt: &mut Runtime, mgr: &mut Manager, addr: VAddr) -> GmacResult<()> {
         // Batch never uses protection faults: keep pages read-write.
-        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
-        rt.protect_object(&obj, BlockState::Dirty)?;
+        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?;
+        rt.protect_object(obj, BlockState::Dirty)?;
         Ok(())
     }
 
@@ -154,13 +154,11 @@ impl CoherenceProtocol for BatchUpdate {
         // Batch keeps the host copy authoritative and performs no access
         // detection: fill host memory directly (the naive programmer's
         // memset); everything moves at the next call anyway.
-        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
-        Runtime::check_bounds(&obj, offset, len)?;
+        let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
+        Runtime::check_bounds(obj, offset, len)?;
         rt.vm.fill(obj.addr() + offset, value, len)?;
         rt.platform.cpu_touch(len);
-        mgr.find_mut(addr)
-            .expect("registered object")
-            .set_state(0, BlockState::Dirty);
+        obj.set_state(0, BlockState::Dirty);
         Ok(())
     }
 

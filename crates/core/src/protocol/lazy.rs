@@ -44,18 +44,16 @@ impl LazyUpdate {
         addr: VAddr,
         target: BlockState,
     ) -> GmacResult<()> {
-        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
+        let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
         if obj.state(0) == BlockState::Invalid {
             // Whole-object transfer: the defining cost of lazy-update
             // compared to rolling-update (Figure 9).
             let mut plan = rt.plan(Direction::DeviceToHost, CopyMode::Sync, Purpose::Fetch);
-            plan.request(&obj, 0, obj.size());
+            plan.request(obj, 0, obj.size());
             rt.execute(&plan)?;
         }
-        rt.protect_object(&obj, target)?;
-        mgr.find_mut(addr)
-            .expect("registered object")
-            .set_state(0, target);
+        rt.protect_object(obj, target)?;
+        obj.set_state(0, target);
         Ok(())
     }
 }

@@ -201,8 +201,8 @@ pub(crate) fn memset_device_side(
     use crate::error::GmacError;
     use crate::xfer::Purpose;
     use hetsim::{CopyMode, Direction};
-    let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
-    Runtime::check_bounds(&obj, offset, len)?;
+    let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
+    Runtime::check_bounds(obj, offset, len)?;
     let mut plan = rt.plan(
         Direction::HostToDevice,
         CopyMode::Sync,
@@ -212,20 +212,19 @@ pub(crate) fn memset_device_side(
         let block = obj.block(idx);
         let fully = offset <= block.offset && offset + len >= block.offset + block.len;
         if block.state == BlockState::Dirty && !fully {
-            plan.request_block(&obj, idx);
+            plan.request_block(obj, idx);
         }
     }
     rt.execute(&plan)?;
-    rt.dev_fill(&obj, offset, len, value)?;
+    rt.dev_fill(obj, offset, len, value)?;
     // The covered blocks form one contiguous span: one mprotect + one state
     // sweep instead of a per-block loop.
     let covered = obj.blocks_overlapping(offset, len);
     let span_lo = covered.start as u64 * obj.block_size();
     let span_hi = (covered.end as u64 * obj.block_size()).min(obj.size());
-    rt.protect_range(&obj, span_lo, span_hi, BlockState::Invalid)?;
-    let target = mgr.find_mut(addr).expect("registered object");
+    rt.protect_range(obj, span_lo, span_hi, BlockState::Invalid)?;
     for idx in covered {
-        target.set_state(idx, BlockState::Invalid);
+        obj.set_state(idx, BlockState::Invalid);
     }
     Ok(())
 }

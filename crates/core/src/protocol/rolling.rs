@@ -59,27 +59,20 @@ impl RollingUpdate {
         self.limit.max(1)
     }
 
-    /// Marks `idx` of the object at `addr` dirty, enforcing the rolling
-    /// bound by evicting the oldest dirty blocks.
+    /// Marks the not-yet-dirty block `idx` of `obj` dirty and enters it in
+    /// the FIFO; the caller then enforces the rolling bound with
+    /// [`Self::evict_overflow`].
     fn mark_dirty(
         &mut self,
         rt: &mut Runtime,
-        mgr: &mut Manager,
-        addr: VAddr,
+        obj: &mut SharedObject,
         idx: usize,
     ) -> GmacResult<()> {
-        {
-            let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
-            if obj.state(idx) == BlockState::Dirty {
-                return Ok(());
-            }
-            obj.set_state(idx, BlockState::Dirty);
-            let obj = mgr.find(addr).expect("registered object").clone();
-            rt.protect_block(&obj, idx, BlockState::Dirty)?;
-        }
-        self.fifo.push_back((addr, idx));
+        obj.set_state(idx, BlockState::Dirty);
+        rt.protect_block(obj, idx, BlockState::Dirty)?;
+        self.fifo.push_back((obj.addr(), idx));
         self.dirty_count += 1;
-        self.evict_overflow(rt, mgr)
+        Ok(())
     }
 
     /// Evicts oldest dirty blocks while the dirty set exceeds the rolling
@@ -94,23 +87,30 @@ impl RollingUpdate {
             // Lazy deletion: the entry may be stale (block already evicted,
             // invalidated at a call, the whole object evicted from device
             // memory, or its object freed).
-            let Some(obj) = mgr.find(addr) else { continue };
+            let Some(obj) = mgr.find_mut(addr) else {
+                continue;
+            };
             if obj.state(idx) != BlockState::Dirty || !obj.is_resident() {
                 continue;
             }
-            let obj = obj.clone();
             let mode = if rt.config().eager_eviction {
                 CopyMode::Async
             } else {
                 CopyMode::Sync
             };
             let mut plan = rt.plan(Direction::HostToDevice, mode, Purpose::Eviction);
-            plan.request_block(&obj, idx);
-            rt.execute(&plan)?;
-            rt.protect_block(&obj, idx, BlockState::ReadOnly)?;
-            mgr.find_mut(addr)
-                .expect("registered object")
-                .set_state(idx, BlockState::ReadOnly);
+            plan.request_block(obj, idx);
+            let flushed = rt
+                .execute(&plan)
+                .and_then(|_| rt.protect_block(obj, idx, BlockState::ReadOnly));
+            if let Err(e) = flushed {
+                // The victim is still Dirty and still counted: it keeps its
+                // place as the oldest entry, or every later write would
+                // evict the block it has just dirtied.
+                self.fifo.push_front((addr, idx));
+                return Err(e);
+            }
+            obj.set_state(idx, BlockState::ReadOnly);
             self.dirty_count -= 1;
         }
         Ok(())
@@ -240,8 +240,8 @@ impl CoherenceProtocol for RollingUpdate {
         offset: u64,
         len: u64,
     ) -> GmacResult<()> {
-        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
-        Runtime::check_bounds(&obj, offset, len)?;
+        let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
+        Runtime::check_bounds(obj, offset, len)?;
         // Plan a fetch of *only the invalid blocks* — "rolling update also
         // reduces the amount of data transferred from accelerators when the
         // CPU reads the output kernel data in a scattered way" (§4.3). Runs
@@ -250,16 +250,15 @@ impl CoherenceProtocol for RollingUpdate {
         let mut fetched = Vec::new();
         for run in obj.runs_in(offset, len) {
             if run.state == BlockState::Invalid {
-                plan.request(&obj, run.start, run.len());
+                plan.request(obj, run.start, run.len());
                 fetched.push(run);
             }
         }
         rt.execute(&plan)?;
         for run in fetched {
-            rt.protect_range(&obj, run.start, run.end, BlockState::ReadOnly)?;
-            let target = mgr.find_mut(addr).expect("registered object");
-            for idx in run.blocks.clone() {
-                target.set_state(idx, BlockState::ReadOnly);
+            rt.protect_range(obj, run.start, run.end, BlockState::ReadOnly)?;
+            for idx in run.blocks {
+                obj.set_state(idx, BlockState::ReadOnly);
             }
         }
         Ok(())
@@ -273,9 +272,12 @@ impl CoherenceProtocol for RollingUpdate {
         offset: u64,
         len: u64,
     ) -> GmacResult<()> {
-        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?.clone();
-        Runtime::check_bounds(&obj, offset, len)?;
+        let obj = mgr.find(addr).ok_or(GmacError::NotShared(addr))?;
+        Runtime::check_bounds(obj, offset, len)?;
         for idx in obj.blocks_overlapping(offset, len) {
+            // Looked up per block: the eviction below needs the whole
+            // manager (its victim may live in another object).
+            let obj = mgr.find_mut(addr).expect("registered object");
             let block = obj.block(idx);
             if block.state == BlockState::Invalid {
                 // A partial overwrite of an invalid block must merge with the
@@ -284,11 +286,14 @@ impl CoherenceProtocol for RollingUpdate {
                     offset <= block.offset && offset + len >= block.offset + block.len;
                 if !fully_covered {
                     let mut plan = rt.plan(Direction::DeviceToHost, CopyMode::Sync, Purpose::Fetch);
-                    plan.request_block(&obj, idx);
+                    plan.request_block(obj, idx);
                     rt.execute(&plan)?;
                 }
             }
-            self.mark_dirty(rt, mgr, addr, idx)?;
+            if block.state != BlockState::Dirty {
+                self.mark_dirty(rt, obj, idx)?;
+                self.evict_overflow(rt, mgr)?;
+            }
         }
         Ok(())
     }

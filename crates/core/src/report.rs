@@ -111,7 +111,9 @@ pub struct Report {
     pub async_dma: bool,
     /// H2D jobs queued on the engine but not yet landed in device memory.
     pub dma_in_flight: u64,
-    /// Deepest any per-device engine queue has been since start-up.
+    /// Deepest any per-device engine queue has been since start-up. Queued
+    /// jobs only: small solitary evictions the engine lands inline on the
+    /// submitting thread (see [`crate::xfer::INLINE_MAX`]) never sit in it.
     pub dma_queue_high_water: u64,
     /// Fairness accounting of the live [`crate::Service`] (per-priority
     /// served bytes, wait and run time); `None` when no service has been
@@ -336,7 +338,7 @@ impl fmt::Display for Report {
         if self.async_dma {
             writeln!(
                 f,
-                "  engine: {} in flight / queue high-water {}   join wait {:.3} ms ({} jobs overlapped)",
+                "  engine: {} in flight / queue high-water {}   join wait {:.3} ms ({} queued jobs overlapped)",
                 self.dma_in_flight,
                 self.dma_queue_high_water,
                 self.counters.dma_wait_ns as f64 / 1e6,
@@ -518,15 +520,18 @@ mod tests {
     #[test]
     fn report_exposes_background_engine_state() {
         // Async on (the default): the engine section is present and the
-        // queue high-water reflects the flush that just ran.
+        // queue high-water reflects the flush that just ran. Blocks above
+        // `INLINE_MAX`, so the evictions are queued jobs too.
+        let block = 2 * crate::xfer::INLINE_MAX;
         let g = gmac(
             GmacConfig::default()
                 .protocol(Protocol::Rolling)
-                .block_size(4096),
+                .block_size(block),
         );
         let s = g.session();
-        let a = s.alloc(8 * 4096).unwrap();
-        s.store_slice::<u8>(a, &vec![9u8; 8 * 4096]).unwrap();
+        let a = s.alloc(8 * block).unwrap();
+        s.store_slice::<u8>(a, &vec![9u8; 8 * block as usize])
+            .unwrap();
         s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, hetsim::DeviceId(0), None))
             .unwrap();
         let r = g.report();

@@ -16,8 +16,13 @@ use crate::state::BlockState;
 use crate::xfer::{DmaEngine, DmaQueue, Purpose, TransferPlan};
 use hetsim::{Category, CopyMode, DeviceId, Direction, Nanos, Platform, TimePoint};
 use softmmu::{AddressSpace, VAddr};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Largest staging buffer a [`Runtime`] keeps between transfer plans; a plan
+/// that grew it further gives the memory back when it is done.
+const STAGING_KEEP: usize = 1 << 20;
 
 /// Event counters exposed for tests and the figure harness.
 ///
@@ -58,9 +63,11 @@ pub struct Counters {
     /// wait through the engine timelines regardless; zero with
     /// [`crate::GmacConfig::async_dma`] off.
     pub dma_wait_ns: u64,
-    /// Background DMA jobs that had already retired when their device was
-    /// next joined — jobs whose execution genuinely overlapped CPU progress.
-    /// Wall-clock bookkeeping only; zero with
+    /// Queued background DMA jobs that had already retired when their
+    /// device was next joined — jobs whose execution genuinely overlapped
+    /// CPU progress. Jobs the engine landed inline on the submitting thread
+    /// (small solitary evictions, see [`crate::xfer::INLINE_MAX`]) overlapped
+    /// nothing and are not counted. Wall-clock bookkeeping only; zero with
     /// [`crate::GmacConfig::async_dma`] off.
     pub jobs_overlapped: u64,
     /// Resident objects evicted from device memory back to host under
@@ -153,6 +160,10 @@ pub struct Runtime {
     /// standalone harnesses (and with [`GmacConfig::async_dma`] off): jobs
     /// then execute inline at issue, exactly as before the engine existed.
     pub(crate) engine: Option<Arc<DmaEngine>>,
+    /// Reusable staging bytes for jobs that complete before `execute`
+    /// returns (device-to-host fetches, inline host-to-device landings), so
+    /// the per-fault path allocates nothing. Queued jobs own their snapshot.
+    staging: Vec<u8>,
     /// True when [`GmacConfig::mmap_backing`] was requested but the host
     /// reservation failed and this runtime fell back to the table-walk
     /// backend. Reported (never fatal): behaviour is identical, only the
@@ -197,6 +208,7 @@ impl Runtime {
             counters: Counters::default(),
             queue: DmaQueue::new(),
             engine,
+            staging: Vec::new(),
             backing_downgraded,
         }
     }
@@ -247,14 +259,16 @@ impl Runtime {
 
     /// Executes every job of `plan` on the simulated platform.
     ///
-    /// Host-to-device jobs gather the bytes from system memory (raw access —
-    /// the runtime is "kernel mode"; the snapshot is what pins the job
-    /// against later CPU writes) and issue DMA in the plan's copy mode.
+    /// Host-to-device jobs stage the bytes from system memory (raw access —
+    /// the runtime is "kernel mode") and issue DMA in the plan's copy mode.
     /// With the background engine the virtual timeline is reserved here —
     /// every clock and ledger charge happens at issue, keeping virtual time
     /// byte-identical to the inline mode — while the wall-clock byte landing
-    /// is queued to the device's worker. Asynchronous completions are
-    /// remembered in the [`DmaQueue`] for the next [`Self::join_dma`].
+    /// goes to [`DmaEngine::submit`]: queued to the device's worker with an
+    /// owned snapshot (the snapshot is what pins the job against later CPU
+    /// writes), or, for a small solitary eviction on an idle queue, landed
+    /// right here from the reusable staging buffer. Asynchronous completions
+    /// are remembered in the [`DmaQueue`] for the next [`Self::join_dma`].
     /// Device-to-host jobs are synchronous and land the bytes in system
     /// memory, after draining any queued landings for the object so they
     /// never read a stale device range. Returns the completion time of the
@@ -265,15 +279,24 @@ impl Runtime {
     pub fn execute(&mut self, plan: &TransferPlan) -> GmacResult<Option<TimePoint>> {
         let mut last_end = None;
         for job in plan.jobs() {
+            let host = job.addr + job.offset;
             let end = match plan.dir() {
                 Direction::HostToDevice => {
-                    let bytes = self.vm.gather(job.addr + job.offset, job.len)?;
                     let dst = job.dev_addr.add(job.offset);
+                    let queued = self.engine.is_some()
+                        && !DmaEngine::inline_candidate(plan.purpose(), job.len);
+                    let bytes = if queued {
+                        Cow::Owned(self.vm.gather(host, job.len)?)
+                    } else {
+                        self.staging.clear();
+                        self.vm.read_raw_into(host, job.len, &mut self.staging)?;
+                        Cow::Borrowed(&self.staging[..])
+                    };
                     let end = if let Some(engine) = &self.engine {
                         let end = self
                             .platform
                             .reserve_h2d(job.dev, dst, job.len, plan.mode())?;
-                        engine.submit(job.dev, job.addr, dst, bytes);
+                        engine.submit(job.dev, job.addr, dst, plan.purpose(), bytes);
                         end
                     } else {
                         self.platform.copy_h2d(job.dev, dst, &bytes, plan.mode())?
@@ -291,11 +314,19 @@ impl Runtime {
                 Direction::DeviceToHost => {
                     self.join_object(job.dev, job.addr)?;
                     let src = job.dev_addr.add(job.offset);
-                    let mut bytes = vec![0u8; job.len as usize];
-                    let end = self
-                        .platform
-                        .copy_d2h(job.dev, src, &mut bytes, CopyMode::Sync)?;
-                    self.vm.write_raw(job.addr + job.offset, &bytes)?;
+                    // Stale bytes need no clearing: the copy overwrites
+                    // exactly the slice it is given.
+                    let len = job.len as usize;
+                    if self.staging.len() < len {
+                        self.staging = vec![0u8; len];
+                    }
+                    let end = self.platform.copy_d2h(
+                        job.dev,
+                        src,
+                        &mut self.staging[..len],
+                        CopyMode::Sync,
+                    )?;
+                    self.vm.write_raw(host, &self.staging[..len])?;
                     self.counters.blocks_fetched += job.blocks;
                     self.counters.bytes_fetched += job.len;
                     end
@@ -305,6 +336,9 @@ impl Runtime {
                 .transfers_mut()
                 .note_blocks(plan.dir(), job.blocks);
             last_end = Some(last_end.map_or(end, |t: TimePoint| t.max(end)));
+        }
+        if self.staging.capacity() > STAGING_KEEP {
+            self.staging = Vec::new();
         }
         Ok(last_end)
     }
@@ -344,15 +378,15 @@ impl Runtime {
     /// every queued byte landing owned by the object starting at `addr` on
     /// `dev` has committed. Charges nothing virtual — the object's timeline
     /// was reserved at issue. Used before device-memory reads, fills and
-    /// frees; a no-op without the engine.
+    /// frees; a no-op without the engine, and it reads no clock when nothing
+    /// of the object is in flight (the per-fault case once small evictions
+    /// land inline).
     ///
     /// # Errors
     /// Surfaces worker-side platform failures.
     pub fn join_object(&mut self, dev: DeviceId, addr: VAddr) -> GmacResult<()> {
         if let Some(engine) = &self.engine {
-            let t0 = Instant::now();
-            engine.wait_object(dev, addr)?;
-            self.counters.dma_wait_ns += t0.elapsed().as_nanos() as u64;
+            self.counters.dma_wait_ns += engine.wait_object(dev, addr)?;
         }
         Ok(())
     }

@@ -9,16 +9,33 @@
 //!
 //! ```text
 //!  protocol release/evict (shard lock held)
-//!      │ plan + gather bytes + Platform::reserve_h2d  — all virtual charges
+//!      │ plan + stage bytes + Platform::reserve_h2d  — all virtual charges
 //!      ▼
-//!  DmaEngine::submit ──► per-device FIFO queue (engine mutex, leaf tier)
-//!      │                      │ worker thread pops, holding NO shard lock
-//!      ▼                      ▼
-//!  shard lock drops     Platform::commit_h2d  — device mutex only
-//!                            │
-//!                            ▼
-//!                       completion table (tickets + per-object counts)
+//!  DmaEngine::submit ── Purpose::Eviction, len <= INLINE_MAX, queue idle? ──┐
+//!      │ no: owned snapshot                                             yes │
+//!      ▼                                                                    ▼
+//!  per-device FIFO queue (engine mutex, leaf tier)        land() on the submitting
+//!      │ worker thread pops, holding NO shard lock        thread, under the queue
+//!      ▼                                                  mutex: no hand-off
+//!  land(): Platform::commit_h2d — device mutex only ◄───────────────────────┘
+//!      │
+//!      ▼
+//!  completion accounting (tickets, per-object counts, first-error slot)
 //! ```
+//!
+//! **The inline branch.** A hand-off to the worker costs a mutex + condvar
+//! wake-up and, when the submitter next reads the object, a second context
+//! switch to wait for the worker. For a rolling-update eager eviction of one
+//! small block that is twenty times the copy itself, so such a job lands
+//! where it was submitted when all three hold: the plan's purpose is
+//! [`Purpose::Eviction`] (a solitary per-fault job — batched
+//! [`Purpose::Release`] flushes always queue), it is at most [`INLINE_MAX`]
+//! bytes, and the device's queue is idle (`completed == submitted`), so
+//! per-device FIFO order is untouched: a small job can never overtake an
+//! older queued landing of the same range. Both branches go through the one
+//! `land` helper — same `commit_h2d` (with its `CommitH2d` failpoint), same
+//! completion accounting, same first-error slot. Measured on one CPU only;
+//! how the trade moves with a second CPU free for the worker is unmeasured.
 //!
 //! Because [`hetsim::Platform::reserve_h2d`] performs every clock and ledger
 //! charge at submission, a run with the engine enabled is byte-identical in
@@ -32,12 +49,25 @@
 //! is therefore safe, and a worker can never deadlock against a shard.
 
 use crate::error::GmacResult;
+use crate::xfer::Purpose;
 use hetsim::{DevAddr, DeviceId, Platform, SimError};
 use softmmu::VAddr;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Instant;
+
+/// Largest eviction job [`DmaEngine::submit`] lands on the submitting thread.
+///
+/// The hand-off to a worker costs ~4.15 us per job (`core.xfer.engine_job_us`
+/// in the repo benchmark) and a host-to-device copy runs at ~9.65 GB/s
+/// (`hetsim.copy_h2d_gbps`), so a copy is cheaper than its hand-off up to
+/// ~40 KiB; 32 KiB is the power of two below the crossover. `bulk_copy`'s
+/// 256 KiB blocks and `gmac-bench`'s `overlap` (64 KiB blocks) stay on the
+/// queued side, `fault_storm`'s 4 KiB blocks land inline.
+pub const INLINE_MAX: u64 = 32 * 1024;
 
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -61,18 +91,21 @@ struct WorkItem {
 #[derive(Debug, Default)]
 struct DeviceQueue {
     jobs: VecDeque<WorkItem>,
-    /// Tickets issued (monotonic job count).
+    /// Tickets issued (monotonic job count, queued and inline).
     submitted: u64,
-    /// Tickets retired, in FIFO order (single worker per device).
+    /// Tickets retired, in FIFO order (single worker per device; an inline
+    /// landing only happens with nothing ahead of it).
     completed: u64,
-    /// `completed` as of the last device-wide join; jobs retired since then
-    /// finished while the CPU made progress — the structural overlap count.
+    /// `completed` as of the last device-wide join, advanced by every inline
+    /// landing since; the queued jobs retired past it finished while the
+    /// CPU made progress — the structural overlap count.
     overlap_mark: u64,
     /// Jobs currently queued or executing, per owning object.
     inflight_per_object: HashMap<VAddr, u64>,
-    /// Deepest the queue has ever been (jobs waiting + executing).
+    /// Deepest the queue has ever been (jobs waiting + executing; inline
+    /// landings never wait and are not counted).
     depth_high_water: u64,
-    /// First failure from a worker, surfaced at the next join.
+    /// First failed landing (worker or inline), surfaced at the next join.
     error: Option<SimError>,
     shutdown: bool,
 }
@@ -86,11 +119,12 @@ struct DeviceState {
 /// Engine statistics for [`crate::Report`] (wall-clock bookkeeping only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs handed to the engine since creation.
+    /// Jobs handed to the engine since creation (queued and inline).
     pub submitted: u64,
     /// Jobs whose bytes have landed in device memory.
     pub completed: u64,
-    /// Deepest any per-device queue has been.
+    /// Deepest any per-device queue has been. Counts queued jobs only: a job
+    /// landed inline by its submitter never sat in a queue.
     pub depth_high_water: u64,
 }
 
@@ -107,9 +141,11 @@ impl EngineStats {
 /// device has its own FIFO queue and worker thread, so landings for
 /// different accelerators proceed concurrently and landings for one device
 /// retire in submission order (a later flush of the same range can never be
-/// overtaken by an earlier one).
+/// overtaken by an earlier one). Small solitary eviction jobs skip the
+/// worker when the queue is idle (see [`INLINE_MAX`] and the module docs).
 #[derive(Debug)]
 pub struct DmaEngine {
+    platform: Arc<Platform>,
     devices: Arc<Vec<DeviceState>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -135,21 +171,51 @@ impl DmaEngine {
                     .expect("spawn DMA worker")
             })
             .collect();
-        DmaEngine { devices, workers }
+        DmaEngine {
+            platform,
+            devices,
+            workers,
+        }
     }
 
     fn state(&self, dev: DeviceId) -> &DeviceState {
         &self.devices[dev.0]
     }
 
-    /// Queues a byte landing for `dev`. The caller has already reserved the
-    /// virtual DMA timeline ([`hetsim::Platform::reserve_h2d`]) and owns no
-    /// claim on `bytes` afterwards.
-    pub fn submit(&self, dev: DeviceId, obj: VAddr, dst: DevAddr, bytes: Vec<u8>) {
+    /// The static two of the three inline conditions: a solitary eviction
+    /// job of at most [`INLINE_MAX`] bytes. The caller uses it to stage such
+    /// a job in a reusable buffer instead of an owned snapshot; whether it
+    /// really lands inline is decided in [`Self::submit`], which also needs
+    /// the queue idle.
+    pub fn inline_candidate(purpose: Purpose, len: u64) -> bool {
+        purpose == Purpose::Eviction && len <= INLINE_MAX
+    }
+
+    /// Hands a byte landing for `dev` to the engine. The caller has already
+    /// reserved the virtual DMA timeline ([`hetsim::Platform::reserve_h2d`]).
+    ///
+    /// An [`Self::inline_candidate`] job submitted to an idle queue lands
+    /// here, on the calling thread, under the queue mutex; everything else
+    /// is queued for the worker with an owned snapshot of `bytes` (the
+    /// snapshot is what pins a queued job against later CPU writes).
+    pub fn submit(
+        &self,
+        dev: DeviceId,
+        obj: VAddr,
+        dst: DevAddr,
+        purpose: Purpose,
+        bytes: Cow<'_, [u8]>,
+    ) {
         let state = self.state(dev);
         let mut q = lock_ok(&state.queue);
-        q.jobs.push_back(WorkItem { obj, dst, bytes });
+        let idle = q.completed == q.submitted;
         q.submitted += 1;
+        if idle && Self::inline_candidate(purpose, bytes.len() as u64) {
+            land(&self.platform, dev, state, Some(q), obj, dst, &bytes);
+            return;
+        }
+        let bytes = bytes.into_owned();
+        q.jobs.push_back(WorkItem { obj, dst, bytes });
         *q.inflight_per_object.entry(obj).or_insert(0) += 1;
         let depth = q.submitted - q.completed;
         q.depth_high_water = q.depth_high_water.max(depth);
@@ -157,11 +223,12 @@ impl DmaEngine {
     }
 
     /// Blocks (wall-clock) until every job submitted to `dev` has landed.
-    /// Returns the number of jobs that had already retired since the last
-    /// device join — jobs whose execution overlapped CPU progress.
+    /// Returns the number of queued jobs that had already retired since the
+    /// last device join — jobs whose execution overlapped CPU progress
+    /// (inline landings overlapped nothing and are not counted).
     ///
     /// # Errors
-    /// Surfaces the first worker-side platform failure, if any.
+    /// Surfaces the first failed landing (worker or inline), if any.
     pub fn wait_device(&self, dev: DeviceId) -> GmacResult<u64> {
         let state = self.state(dev);
         let mut q = lock_ok(&state.queue);
@@ -181,14 +248,18 @@ impl DmaEngine {
 
     /// Blocks (wall-clock) until every job owned by the object starting at
     /// `obj` on `dev` has landed. Used before device-memory reads, fills and
-    /// frees of that object; unrelated objects keep streaming.
+    /// frees of that object; unrelated objects keep streaming. Returns the
+    /// nanoseconds spent blocked — zero, without reading the clock, when
+    /// nothing of the object was in flight.
     ///
     /// # Errors
-    /// Surfaces the first worker-side platform failure, if any.
-    pub fn wait_object(&self, dev: DeviceId, obj: VAddr) -> GmacResult<()> {
+    /// Surfaces the first failed landing (worker or inline), if any.
+    pub fn wait_object(&self, dev: DeviceId, obj: VAddr) -> GmacResult<u64> {
         let state = self.state(dev);
         let mut q = lock_ok(&state.queue);
+        let mut blocked_since = None;
         while q.inflight_per_object.contains_key(&obj) {
+            blocked_since.get_or_insert_with(Instant::now);
             q = state
                 .cv
                 .wait(q)
@@ -197,7 +268,7 @@ impl DmaEngine {
         if let Some(e) = q.error.take() {
             return Err(e.into());
         }
-        Ok(())
+        Ok(blocked_since.map_or(0, |t| t.elapsed().as_nanos() as u64))
     }
 
     /// True when `dev` has jobs queued or executing.
@@ -261,28 +332,52 @@ fn worker_loop(platform: &Platform, dev: DeviceId, state: &DeviceState) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        // The whole point of the engine: a DmaJob executes with no shard
-        // mutex held. Structural on a dedicated worker thread; assert it so
-        // a refactor routing execution through a borrowed caller thread
-        // trips immediately.
+        // The whole point of the queue: a queued DmaJob executes with no
+        // shard mutex held (only the deliberate inline branch of `submit`
+        // lands under one). Structural on a dedicated worker thread; assert
+        // it so a refactor routing queued execution through a borrowed
+        // caller thread trips immediately.
         debug_assert_eq!(
             crate::shard::shard_locks_held(),
             0,
             "DMA worker must not hold a shard lock while executing a job"
         );
-        let result = platform.commit_h2d(dev, item.dst, &item.bytes);
-        let mut q = lock_ok(&state.queue);
-        q.completed += 1;
-        if let Some(n) = q.inflight_per_object.get_mut(&item.obj) {
+        land(platform, dev, state, None, item.obj, item.dst, &item.bytes);
+    }
+}
+
+/// Lands one job's bytes in device memory and retires its ticket: the one
+/// commit and completion-accounting path. The worker passes `held: None` and
+/// copies with the queue mutex released; the inline submitter passes the
+/// guard it took for its idle check and keeps it across the copy, so nothing
+/// can be queued behind a landing that is still in progress.
+fn land<'a>(
+    platform: &Platform,
+    dev: DeviceId,
+    state: &'a DeviceState,
+    held: Option<MutexGuard<'a, DeviceQueue>>,
+    obj: VAddr,
+    dst: DevAddr,
+    bytes: &[u8],
+) {
+    let queued = held.is_none();
+    let result = platform.commit_h2d(dev, dst, bytes);
+    let mut q = held.unwrap_or_else(|| lock_ok(&state.queue));
+    q.completed += 1;
+    if let Err(e) = result {
+        q.error.get_or_insert(e);
+    }
+    if queued {
+        if let Some(n) = q.inflight_per_object.get_mut(&obj) {
             *n -= 1;
             if *n == 0 {
-                q.inflight_per_object.remove(&item.obj);
+                q.inflight_per_object.remove(&obj);
             }
         }
-        if let Err(e) = result {
-            q.error.get_or_insert(e);
-        }
         state.cv.notify_all();
+    } else {
+        // Never queued, so nobody waits on it and it overlapped nothing.
+        q.overlap_mark += 1;
     }
 }
 
@@ -293,8 +388,19 @@ mod tests {
 
     const DEV: DeviceId = DeviceId(0);
 
+    const OBJ: VAddr = VAddr(0x1000);
+
     fn platform() -> Arc<Platform> {
         Arc::new(Platform::desktop_g280())
+    }
+
+    /// Queues a release-purpose job (never inline, whatever its size).
+    fn submit(engine: &DmaEngine, dst: DevAddr, bytes: Vec<u8>) {
+        engine.submit(DEV, OBJ, dst, Purpose::Release, Cow::Owned(bytes));
+    }
+
+    fn evict(engine: &DmaEngine, dst: DevAddr, bytes: &[u8]) {
+        engine.submit(DEV, OBJ, dst, Purpose::Eviction, Cow::Borrowed(bytes));
     }
 
     #[test]
@@ -303,7 +409,7 @@ mod tests {
         let a = p.dev_alloc(DEV, 8192).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
         p.reserve_h2d(DEV, a, 8192, CopyMode::Sync).unwrap();
-        engine.submit(DEV, VAddr(0x1000), a, vec![5u8; 8192]);
+        submit(&engine, a, vec![5u8; 8192]);
         engine.wait_device(DEV).unwrap();
         let dev = p.device(DEV).unwrap();
         assert_eq!(dev.mem().slice(a, 8192).unwrap(), &[5u8; 8192][..]);
@@ -319,7 +425,7 @@ mod tests {
         let a = p.dev_alloc(DEV, 4096).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
         for v in 1..=32u8 {
-            engine.submit(DEV, VAddr(0x1000), a, vec![v; 4096]);
+            submit(&engine, a, vec![v; 4096]);
         }
         engine.wait_device(DEV).unwrap();
         let dev = p.device(DEV).unwrap();
@@ -331,8 +437,8 @@ mod tests {
         let p = platform();
         let a = p.dev_alloc(DEV, 4096).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
-        engine.submit(DEV, VAddr(0x1000), a, vec![1u8; 4096]);
-        engine.wait_object(DEV, VAddr(0x1000)).unwrap();
+        submit(&engine, a, vec![1u8; 4096]);
+        engine.wait_object(DEV, OBJ).unwrap();
         // Never-submitted objects are trivially complete.
         engine.wait_object(DEV, VAddr(0x9000)).unwrap();
         engine.wait_device(DEV).unwrap();
@@ -343,7 +449,7 @@ mod tests {
         let p = platform();
         let a = p.dev_alloc(DEV, 4096).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
-        engine.submit(DEV, VAddr(0x1000), a, vec![1u8; 4096]);
+        submit(&engine, a, vec![1u8; 4096]);
         // Give the worker a chance to retire the job before the join; the
         // count is `>= 0` either way, and a second join with no new work
         // reports zero.
@@ -358,7 +464,7 @@ mod tests {
         let a = p.dev_alloc(DEV, 4096).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
         for v in 0..16u8 {
-            engine.submit(DEV, VAddr(0x1000), a, vec![v; 4096]);
+            submit(&engine, a, vec![v; 4096]);
         }
         drop(engine); // must not deadlock; drains the queue
         let dev = p.device(DEV).unwrap();
@@ -373,11 +479,104 @@ mod tests {
         // issue; simulate a worker-side failure by submitting it directly.
         let cap = p.device(DEV).unwrap().mem().capacity();
         let base = p.device(DEV).unwrap().mem().base();
-        engine.submit(DEV, VAddr(0x1000), base.add(cap), vec![0u8; 64]);
+        submit(&engine, base.add(cap), vec![0u8; 64]);
         assert!(engine.wait_device(DEV).is_err());
         // The error is consumed; the engine keeps working afterwards.
         let a = p.dev_alloc(DEV, 64).unwrap();
-        engine.submit(DEV, VAddr(0x1000), a, vec![3u8; 64]);
+        submit(&engine, a, vec![3u8; 64]);
         engine.wait_device(DEV).unwrap();
+    }
+
+    #[test]
+    fn small_eviction_on_an_idle_queue_lands_inline() {
+        let p = platform();
+        let a = p.dev_alloc(DEV, INLINE_MAX).unwrap();
+        let engine = DmaEngine::new(Arc::clone(&p));
+        evict(&engine, a, &vec![7u8; INLINE_MAX as usize]);
+        // Landed before `submit` returned: nothing in flight, nothing to
+        // wait for (zero blocked time means the clock was never read), the
+        // queue was never used and nothing overlapped.
+        let s = engine.stats();
+        assert_eq!((s.submitted, s.completed, s.in_flight()), (1, 1, 0));
+        assert_eq!(s.depth_high_water, 0, "inline landings are not queued");
+        assert!(!engine.object_busy(DEV, OBJ));
+        let dev = p.device(DEV).unwrap();
+        assert!(dev
+            .mem()
+            .slice(a, INLINE_MAX)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 7));
+        drop(dev);
+        assert_eq!(engine.wait_object(DEV, OBJ).unwrap(), 0);
+        assert_eq!(engine.wait_device(DEV).unwrap(), 0, "no overlap counted");
+    }
+
+    #[test]
+    fn release_jobs_and_large_evictions_stay_queued() {
+        let p = platform();
+        let a = p.dev_alloc(DEV, 2 * INLINE_MAX).unwrap();
+        let engine = DmaEngine::new(Arc::clone(&p));
+        submit(&engine, a, vec![1u8; 4096]);
+        engine.wait_device(DEV).unwrap();
+        evict(&engine, a, &vec![2u8; INLINE_MAX as usize + 1]);
+        engine.wait_device(DEV).unwrap();
+        assert_eq!(engine.stats().depth_high_water, 1, "both went to the queue");
+    }
+
+    #[test]
+    fn small_eviction_behind_a_queued_job_is_queued_and_lands_last() {
+        // The held device guard keeps the worker from landing the first job,
+        // so the queue is provably busy when the small eviction of the same
+        // range arrives: it must take the queue (inlining it would let the
+        // older landing overwrite it — and would self-deadlock on the guard
+        // here, hence the watchdog).
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let p = platform();
+            let a = p.dev_alloc(DEV, 8192).unwrap();
+            let engine = DmaEngine::new(Arc::clone(&p));
+            let guard = p.device(DEV).unwrap();
+            submit(&engine, a, vec![1u8; 8192]);
+            evict(&engine, a, &[2u8; 4096]);
+            let s = engine.stats();
+            assert_eq!(s.in_flight(), 2, "the eviction was queued, not inlined");
+            assert_eq!(s.depth_high_water, 2);
+            drop(guard);
+            engine.wait_object(DEV, OBJ).unwrap();
+            let dev = p.device(DEV).unwrap();
+            assert_eq!(dev.mem().slice(a, 4096).unwrap(), &[2u8; 4096][..]);
+            assert_eq!(
+                dev.mem().slice(a.add(4096), 4096).unwrap(),
+                &[1u8; 4096][..]
+            );
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("eviction behind a busy queue was inlined, or the test thread panicked");
+    }
+
+    #[test]
+    fn inline_commit_failure_uses_the_worker_error_slot() {
+        let p = platform();
+        let a = p.dev_alloc(DEV, 4096).unwrap();
+        let engine = DmaEngine::new(Arc::clone(&p));
+        p.arm_faults(hetsim::FaultPlan::new().fail_nth(hetsim::FaultOp::CommitH2d, 0));
+        evict(&engine, a, &[9u8; 4096]);
+        p.disarm_faults();
+        assert_eq!(
+            engine.stats().in_flight(),
+            0,
+            "a failed landing still retires"
+        );
+        assert!(
+            engine.wait_object(DEV, OBJ).is_err(),
+            "surfaced at the join"
+        );
+        engine.wait_device(DEV).unwrap(); // ... exactly once
+        evict(&engine, a, &[3u8; 4096]);
+        engine.wait_device(DEV).unwrap();
+        let dev = p.device(DEV).unwrap();
+        assert_eq!(dev.mem().slice(a, 4096).unwrap(), &[3u8; 4096][..]);
     }
 }

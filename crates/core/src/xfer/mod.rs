@@ -22,7 +22,9 @@
 //!      ▼
 //!  DmaEngine ──► per-device worker threads land the bytes in device
 //!                memory outside the shard lock (wall-clock overlap);
-//!                join_dma waits on the completion table
+//!                join_dma waits on the completion table. A small solitary
+//!                eviction on an idle queue lands on the submitting thread
+//!                instead (no hand-off; see [`INLINE_MAX`])
 //! ```
 //!
 //! Coalescing is controlled by [`crate::GmacConfig::coalescing`]; with it
@@ -36,6 +38,6 @@ pub mod engine;
 pub mod plan;
 pub mod queue;
 
-pub use engine::{DmaEngine, EngineStats};
+pub use engine::{DmaEngine, EngineStats, INLINE_MAX};
 pub use plan::{DmaJob, Purpose, TransferPlan};
 pub use queue::DmaQueue;

@@ -11,7 +11,7 @@
 //! call), never use-after-free; and dropping the runtime with a non-empty
 //! queue must drain and join the workers, never deadlock.
 
-use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol};
+use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol, INLINE_MAX};
 use hetsim::{Category, DeviceId, LaunchDims, Platform};
 use proptest::prelude::*;
 use workloads::stencil3d::Stencil3d;
@@ -129,15 +129,89 @@ proptest! {
 }
 
 #[test]
+fn modes_are_identical_on_both_sides_of_inline_max() {
+    // One Rolling write / call / read / rewrite / call / read sequence at a
+    // block size whose evictions the engine lands inline (`INLINE_MAX`) and
+    // at one it queues (`2 * INLINE_MAX`): on either side of the constant
+    // the engine must be indistinguishable from the `async_dma(false)`
+    // ablation in everything the simulation observes.
+    const BLOCKS: u64 = 16;
+    for block in [INLINE_MAX, 2 * INLINE_MAX] {
+        let size = (BLOCKS * block) as usize;
+        let run = |async_dma: bool| {
+            let cfg = GmacConfig::default()
+                .protocol(Protocol::Rolling)
+                .block_size(block)
+                .rolling_size(2)
+                .async_dma(async_dma);
+            let g = Gmac::new(Platform::desktop_g280(), cfg);
+            g.with_platform(|p| p.register_kernel(std::sync::Arc::new(gmac::testutil::NopKernel)));
+            let s = g.session();
+            let p = s.alloc(size as u64).unwrap();
+            let call = || {
+                s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
+                    .unwrap();
+                s.sync().unwrap();
+            };
+            let pattern: Vec<u8> = (0..size).map(|i| (i / 97) as u8).collect();
+            // 16 first-writes under a rolling size of 2: 14 eager evictions.
+            s.store_slice::<u8>(p, &pattern).unwrap();
+            call();
+            // Everything Invalid: the read fetches what the evictions and
+            // the release landed on the device.
+            let first = s.load_slice::<u8>(p, size).unwrap();
+            assert_eq!(first, pattern, "block {block}, async {async_dma}");
+            // Scattered partial rewrites: a write fault, then an eviction of
+            // the block dirtied two stores earlier, every other block.
+            for b in (0..BLOCKS).step_by(2) {
+                s.store::<u32>(p.byte_add(b * block + 8), 0xD1D1_0000 + b as u32)
+                    .unwrap();
+            }
+            call();
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for b in s.load_slice::<u8>(p, size).unwrap() {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            let ledger = g.ledger();
+            let c = g.counters();
+            let observed = (
+                digest,
+                g.elapsed(),
+                Category::ALL.map(|cat| ledger.get(cat)),
+                [c.faults_read, c.faults_write, c.eager_evictions],
+                [c.blocks_fetched, c.blocks_flushed],
+                [c.bytes_fetched, c.bytes_flushed],
+                g.transfers(),
+            );
+            (observed, c.eager_evictions, g.report().dma_queue_high_water)
+        };
+        let (on, evictions, high_water) = run(true);
+        let (off, _, _) = run(false);
+        assert_eq!(evictions, 14 + 6, "block {block}: the evictions ran");
+        assert_eq!(
+            on, off,
+            "block {block}: digest, virtual time, ledger categories, fault/eviction, \
+             block and byte counts, TransferLedger"
+        );
+        // Inline landings never sit in the queue: on the inline side only
+        // the release jobs do (one, then two non-adjacent blocks).
+        if block == INLINE_MAX {
+            assert!(high_water <= 2, "evictions of INLINE_MAX bytes land inline");
+        }
+    }
+}
+
+#[test]
 fn free_while_a_flush_is_in_flight_joins_and_succeeds() {
-    // Rolling + small blocks: the write eagerly queues flush jobs on the
-    // engine; the free must join the object's jobs before unmapping so no
-    // worker lands bytes into a recycled device range.
+    // Rolling + blocks just above `INLINE_MAX` (smaller ones land on the
+    // writing thread): the write eagerly queues flush jobs on the engine;
+    // the free must join the object's jobs before unmapping so no worker
+    // lands bytes into a recycled device range.
     let g = Gmac::new(
         Platform::desktop_g280(),
         GmacConfig::default()
             .protocol(Protocol::Rolling)
-            .block_size(4096),
+            .block_size(2 * INLINE_MAX),
     );
     let s = g.session();
     let p = s.alloc(4 << 20).unwrap();
@@ -182,7 +256,7 @@ fn dropping_gmac_with_queued_jobs_drains_and_never_deadlocks() {
             Platform::desktop_g280(),
             GmacConfig::default()
                 .protocol(Protocol::Rolling)
-                .block_size(4096),
+                .block_size(2 * INLINE_MAX),
         );
         let s = g.session();
         let p = s.alloc(8 << 20).unwrap();
