@@ -7,10 +7,12 @@
 //! so the only thing measured here is how much of the transfer cost the
 //! engine hides behind CPU work.
 //!
-//! With at least two host cores, the rolling wall-clock approaches
-//! max(compute, transfer) instead of compute + transfer: the write-stream
-//! scenario leaves roughly one of its three per-byte copies to the worker,
-//! so the expected on/off ratio is ~0.67.
+//! Eager evictions land on the writing thread whenever their device queue
+//! is idle, so only release flushes reach the worker. Measured at full
+//! scale on 2 vCPUs (unpinned, four runs each): with 64 KiB evictions
+//! queued, `write_stream` took 172–204 ms on against 62–69 ms off; with
+//! them landing inline it takes 31–43 ms on and 30–41 ms off, and
+//! `stream_pipeline` 1.08–1.23 s on (1.59–1.86 s before).
 //!
 //! Used by the `overlap` binary (which writes `results/BENCH_overlap.json`).
 
@@ -86,11 +88,10 @@ impl ScenarioResult {
 }
 
 /// Write-streaming: the CPU repeatedly rewrites a rolling-protocol object,
-/// whose eager evictions queue flush jobs as the write sweeps forward. Per
-/// flushed byte the inline mode pays three copies on the issuing thread
-/// (host write, plan gather, device landing); the engine moves the landing
-/// to a worker. The final release + join is inside the timed region — a
-/// real pipeline pays it too.
+/// whose eager evictions flush blocks as the write sweeps forward, then
+/// releases it. Evictions land on the writing thread from the host view;
+/// the release queues its flush jobs for the worker. The final release +
+/// join is inside the timed region — a real pipeline pays it too.
 pub fn write_stream(async_dma: bool, scale: Scale) -> Sample {
     let g = Gmac::new(
         Platform::desktop_g280(),

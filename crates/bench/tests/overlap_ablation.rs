@@ -2,11 +2,13 @@
 //! half — byte-identical digests, ledgers and fault counts across the
 //! toggle — lives in the core crate's `async_dma` integration test).
 //!
-//! Digest equality across modes is asserted unconditionally; the overlap
-//! *ratio* assertion needs optimized code and a second core to park the
-//! worker on, so it is gated like the other wall-clock benchmarks.
+//! Digest equality across modes is asserted unconditionally, and so is the
+//! routing that decides the wall-clock outcome: eager evictions land on the
+//! writing thread instead of queueing for the worker.
 
-use gmac_bench::overlap::{best_of, run_all, write_stream, Scale};
+use gmac::{Gmac, GmacConfig, Protocol};
+use gmac_bench::overlap::{run_all, Scale};
+use hetsim::{DeviceId, Platform};
 
 #[test]
 fn overlap_modes_produce_identical_bytes() {
@@ -24,34 +26,33 @@ fn overlap_modes_produce_identical_bytes() {
 }
 
 #[test]
-fn write_stream_overlap_beats_serial_with_two_cores() {
-    // Wall-clock assertion: only meaningful with optimizations and a core
-    // for the worker thread — debug or single-core CI must not flake.
-    if cfg!(debug_assertions) {
-        eprintln!("skipping wall-clock overlap assertion in debug build");
-        return;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores < 2 {
-        eprintln!("skipping wall-clock overlap assertion on a single core");
-        return;
-    }
-    let scale = Scale::full();
-    // Warm-up, then best-of-3 per mode.
-    write_stream(true, Scale::quick());
-    write_stream(false, Scale::quick());
-    let on = best_of(3, || write_stream(true, scale));
-    let off = best_of(3, || write_stream(false, scale));
-    let ratio = on.wall_ns as f64 / off.wall_ns as f64;
-    assert!(
-        ratio <= 0.75,
-        "streaming wall-clock must approach max(compute, transfer): \
-         on {} ns vs off {} ns = {ratio:.3} (need <= 0.75)",
-        on.wall_ns,
-        off.wall_ns
+fn write_stream_evictions_never_queue() {
+    // The write-stream scenario's geometry (Rolling, 64 KiB blocks) with no
+    // release in the way: every eager eviction finds its device queue idle
+    // and lands on the writing thread, so nothing ever sits in the queue and
+    // nothing is left to overlap. Deterministic on any core count; the
+    // wall-clock case for this routing (queued evictions measured slower on
+    // one CPU and on two) is in the README's async-DMA section.
+    let g = Gmac::new(
+        Platform::desktop_g280(),
+        GmacConfig::default()
+            .protocol(Protocol::Rolling)
+            .block_size(64 * 1024),
     );
-    assert!(
-        on.jobs_overlapped > 0,
-        "the engine actually overlapped jobs"
+    let s = g.session();
+    let p = s.alloc(Scale::quick().chunk_bytes as u64).expect("alloc");
+    for pass in 0..3u8 {
+        s.store_slice::<u8>(p, &vec![pass; Scale::quick().chunk_bytes])
+            .expect("store");
+    }
+    let r = g.report();
+    assert!(r.counters.eager_evictions > 0, "the stream evicted");
+    assert_eq!(r.dma_queue_high_water, 0, "no eviction was queued");
+    s.with_parts(|rt, _, _| rt.join_dma(DeviceId(0)))
+        .expect("join");
+    assert_eq!(
+        g.counters().jobs_overlapped,
+        0,
+        "inline landings overlap nothing"
     );
 }

@@ -90,6 +90,46 @@ mod tests {
     }
 
     #[test]
+    fn same_object_memcpy_has_memmove_semantics() {
+        // (case, src offset, dst offset, len) inside one 300 000-byte object
+        // of 64 KiB blocks. Overlapping ranges must read as if the source
+        // were copied out first; the disjoint case takes the in-place path.
+        const SIZE: usize = 300_000;
+        let cases = [
+            ("forward overlap", 1_000, 5_000, 150_000),
+            ("backward overlap", 70_000, 3, 150_000),
+            ("exact alias", 4_096, 4_096, 200_000),
+            ("disjoint", 0, 150_001, 140_000),
+        ];
+        for mmap in [true, false] {
+            for protocol in Protocol::ALL {
+                for (case, src, dst, len) in cases {
+                    let s = Gmac::new(
+                        Platform::desktop_g280(),
+                        GmacConfig::default()
+                            .protocol(protocol)
+                            .block_size(64 * 1024)
+                            .mmap_backing(mmap),
+                    )
+                    .session();
+                    let p = s.alloc(SIZE as u64).unwrap();
+                    let mut model: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8).collect();
+                    s.memcpy_in(p, &model).unwrap();
+                    // A device-side fill leaves blocks invalid on the host
+                    // (batch fills host-side), so sources mix both states.
+                    s.memset(p.byte_add(100_000), 0x5A, 50_000).unwrap();
+                    model[100_000..150_000].fill(0x5A);
+                    s.memcpy(p.byte_add(dst), p.byte_add(src), len).unwrap();
+                    let (src, dst, len) = (src as usize, dst as usize, len as usize);
+                    model.copy_within(src..src + len, dst);
+                    let got = s.load_slice::<u8>(p, SIZE).unwrap();
+                    assert!(got == model, "{case}, {protocol}, mmap={mmap}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bulk_ops_fault_once_per_block_not_per_page() {
         let s = session(Protocol::Rolling); // 64 KiB blocks = 16 pages each
         let p = s.alloc(256 * 1024).unwrap(); // 4 blocks, 64 pages

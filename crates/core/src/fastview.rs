@@ -44,7 +44,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 struct SendPtr(*mut u8);
 
+// SAFETY: the pointee stays mapped for the owning `AddressSpace`'s life and
+// moving the pointer between threads moves no access with it.
 unsafe impl Send for SendPtr {}
+// SAFETY: shared use only ever accesses the pointee under the ADSM contract
+// and the per-block state gate (see the type and module docs).
 unsafe impl Sync for SendPtr {}
 
 const INVALID: u8 = 0;

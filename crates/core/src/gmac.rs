@@ -767,17 +767,17 @@ impl Inner {
     ) -> GmacResult<()> {
         let _g = self.gate();
         let (_, dev) = self.route_cached(cache, src.addr())?;
-        let bytes = self.shard(dev).shared_read(src, dst.len() as u64)?;
-        dst.copy_from_slice(&bytes);
-        Ok(())
+        self.shard(dev).shared_read_into(src, dst)
     }
 
-    /// Interposed shared-to-shared `memcpy`. When source and destination are
-    /// homed on different accelerators this is a **multi-shard
-    /// transaction**: the source shard is locked, read and released before
-    /// the destination shard is taken (never nested), staging through a
-    /// host buffer exactly like the paper's implementation stages peer
-    /// transfers through system memory.
+    /// Interposed shared-to-shared `memcpy`, with `memmove` semantics. On
+    /// one shard, disjoint ranges copy in place inside the host mapping;
+    /// overlapping ones (necessarily one object) read everything first.
+    /// When source and destination are homed on different accelerators this
+    /// is a **multi-shard transaction**: the source shard is locked, read
+    /// and released before the destination shard is taken (never nested),
+    /// staging through a host buffer exactly like the paper's
+    /// implementation stages peer transfers through system memory.
     pub(crate) fn memcpy(
         &self,
         cache: &RouteCache,
@@ -795,8 +795,13 @@ impl Inner {
         let (_, dst_dev) = self.route(dst.addr())?;
         if src_dev == dst_dev {
             let mut shard = self.shard(src_dev);
-            let bytes = shard.shared_read(src, len)?;
-            shard.shared_write(dst, &bytes)
+            let (s, d) = (src.addr().0, dst.addr().0);
+            if s < d.saturating_add(len) && d < s.saturating_add(len) {
+                let bytes = shard.shared_read(src, len)?;
+                shard.shared_write(dst, &bytes)
+            } else {
+                shard.copy_shared(dst, src, len)
+            }
         } else {
             let bytes = self.shard(src_dev).shared_read(src, len)?;
             self.shard(dst_dev).shared_write(dst, &bytes)

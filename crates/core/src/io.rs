@@ -15,6 +15,7 @@
 
 use crate::error::GmacResult;
 use crate::ptr::SharedPtr;
+use crate::runtime::Runtime;
 use crate::shard::DeviceShard;
 
 impl DeviceShard {
@@ -35,7 +36,10 @@ impl DeviceShard {
     ) -> GmacResult<u64> {
         let chunk = self.io_chunk_size(ptr)?;
         let mut total = 0u64;
-        let mut buf = vec![0u8; chunk as usize];
+        // The runtime's staging buffer, taken for the call (an error drops
+        // it; the next user regrows it).
+        let mut buf = std::mem::take(&mut self.rt.staging);
+        buf.resize(chunk as usize, 0);
         while total < len {
             let n = (len - total).min(chunk) as usize;
             let read = self
@@ -53,6 +57,7 @@ impl DeviceShard {
                 break;
             }
         }
+        self.rt.staging = buf;
         Ok(total)
     }
 
@@ -79,10 +84,11 @@ impl DeviceShard {
         let mut total = 0u64;
         while total < len {
             let n = (len - total).min(chunk);
-            let bytes = self.read_resolved(ptr.byte_add(total), n)?;
-            self.rt
-                .platform
-                .file_write(name, file_offset + total, &bytes)?;
+            let rt = &mut self.rt;
+            let bytes = Runtime::host_bytes(&rt.vm, &mut rt.staging, ptr.addr() + total, n)?;
+            // The application's own CPU time to traverse the chunk.
+            rt.platform.cpu_touch(n);
+            rt.platform.file_write(name, file_offset + total, bytes)?;
             total += n;
         }
         Ok(total)

@@ -70,6 +70,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::missing_safety_doc)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod api;
 pub mod bulk;
@@ -117,4 +118,4 @@ pub use session::{Session, SessionId};
 pub use shard::DeviceShard;
 pub use state::BlockState;
 pub use typed::Shared;
-pub use xfer::{DmaEngine, DmaJob, DmaQueue, EngineStats, Purpose, TransferPlan, INLINE_MAX};
+pub use xfer::{DmaEngine, DmaJob, DmaQueue, EngineStats, Purpose, TransferPlan};

@@ -112,8 +112,8 @@ pub struct Report {
     /// H2D jobs queued on the engine but not yet landed in device memory.
     pub dma_in_flight: u64,
     /// Deepest any per-device engine queue has been since start-up. Queued
-    /// jobs only: small solitary evictions the engine lands inline on the
-    /// submitting thread (see [`crate::xfer::INLINE_MAX`]) never sit in it.
+    /// jobs only: solitary evictions the engine lands inline on the
+    /// submitting thread (see [`crate::xfer::DmaEngine`]) never sit in it.
     pub dma_queue_high_water: u64,
     /// Fairness accounting of the live [`crate::Service`] (per-priority
     /// served bytes, wait and run time); `None` when no service has been
@@ -520,9 +520,9 @@ mod tests {
     #[test]
     fn report_exposes_background_engine_state() {
         // Async on (the default): the engine section is present and the
-        // queue high-water reflects the flush that just ran. Blocks above
-        // `INLINE_MAX`, so the evictions are queued jobs too.
-        let block = 2 * crate::xfer::INLINE_MAX;
+        // queue high-water reflects the release flush that just ran (its
+        // jobs queue; evictions land inline).
+        let block = 64 * 1024;
         let g = gmac(
             GmacConfig::default()
                 .protocol(Protocol::Rolling)

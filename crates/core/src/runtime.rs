@@ -66,7 +66,7 @@ pub struct Counters {
     /// Queued background DMA jobs that had already retired when their
     /// device was next joined — jobs whose execution genuinely overlapped
     /// CPU progress. Jobs the engine landed inline on the submitting thread
-    /// (small solitary evictions, see [`crate::xfer::INLINE_MAX`]) overlapped
+    /// (solitary evictions, see [`crate::xfer::DmaEngine`]) overlapped
     /// nothing and are not counted. Wall-clock bookkeeping only; zero with
     /// [`crate::GmacConfig::async_dma`] off.
     pub jobs_overlapped: u64,
@@ -160,10 +160,11 @@ pub struct Runtime {
     /// standalone harnesses (and with [`GmacConfig::async_dma`] off): jobs
     /// then execute inline at issue, exactly as before the engine existed.
     pub(crate) engine: Option<Arc<DmaEngine>>,
-    /// Reusable staging bytes for jobs that complete before `execute`
-    /// returns (device-to-host fetches, inline host-to-device landings), so
-    /// the per-fault path allocates nothing. Queued jobs own their snapshot.
-    staging: Vec<u8>,
+    /// Reusable staging bytes for host ranges that cannot be lent in place
+    /// (the arena backend, or a range that is not one host span): fetches,
+    /// inline host-to-device landings and interposed file I/O. Queued jobs
+    /// own their snapshot.
+    pub(crate) staging: Vec<u8>,
     /// True when [`GmacConfig::mmap_backing`] was requested but the host
     /// reservation failed and this runtime fell back to the table-walk
     /// backend. Reported (never fatal): behaviour is identical, only the
@@ -259,20 +260,20 @@ impl Runtime {
 
     /// Executes every job of `plan` on the simulated platform.
     ///
-    /// Host-to-device jobs stage the bytes from system memory (raw access —
-    /// the runtime is "kernel mode") and issue DMA in the plan's copy mode.
-    /// With the background engine the virtual timeline is reserved here —
-    /// every clock and ledger charge happens at issue, keeping virtual time
+    /// Host-to-device jobs read the bytes from system memory (raw access —
+    /// the runtime is "kernel mode"), lent in place from the host view where
+    /// it is one span, and issue DMA in the plan's copy mode. With the
+    /// background engine the virtual timeline is reserved here — every
+    /// clock and ledger charge happens at issue, keeping virtual time
     /// byte-identical to the inline mode — while the wall-clock byte landing
     /// goes to [`DmaEngine::submit`]: queued to the device's worker with an
     /// owned snapshot (the snapshot is what pins the job against later CPU
-    /// writes), or, for a small solitary eviction on an idle queue, landed
-    /// right here from the reusable staging buffer. Asynchronous completions
-    /// are remembered in the [`DmaQueue`] for the next [`Self::join_dma`].
-    /// Device-to-host jobs are synchronous and land the bytes in system
-    /// memory, after draining any queued landings for the object so they
-    /// never read a stale device range. Returns the completion time of the
-    /// last job, if any ran.
+    /// writes), or, for a solitary eviction on an idle queue, landed right
+    /// here. Asynchronous completions are remembered in the [`DmaQueue`] for
+    /// the next [`Self::join_dma`]. Device-to-host jobs are synchronous and
+    /// land the bytes straight in system memory, after draining any queued
+    /// landings for the object so they never read a stale device range.
+    /// Returns the completion time of the last job, if any ran.
     ///
     /// # Errors
     /// Propagates platform/MMU failures.
@@ -283,14 +284,18 @@ impl Runtime {
             let end = match plan.dir() {
                 Direction::HostToDevice => {
                     let dst = job.dev_addr.add(job.offset);
-                    let queued = self.engine.is_some()
-                        && !DmaEngine::inline_candidate(plan.purpose(), job.len);
-                    let bytes = if queued {
-                        Cow::Owned(self.vm.gather(host, job.len)?)
-                    } else {
-                        self.staging.clear();
-                        self.vm.read_raw_into(host, job.len, &mut self.staging)?;
-                        Cow::Borrowed(&self.staging[..])
+                    let queued =
+                        self.engine.is_some() && !DmaEngine::inline_candidate(plan.purpose());
+                    // Lent in place where the host view allows; `submit`
+                    // snapshots a job it queues.
+                    let bytes = match self.vm.raw_span(host, job.len) {
+                        Some(span) => Cow::Borrowed(span),
+                        None if queued => Cow::Owned(self.vm.gather(host, job.len)?),
+                        None => {
+                            self.staging.clear();
+                            self.vm.read_raw_into(host, job.len, &mut self.staging)?;
+                            Cow::Borrowed(&self.staging[..])
+                        }
                     };
                     let end = if let Some(engine) = &self.engine {
                         let end = self
@@ -314,19 +319,21 @@ impl Runtime {
                 Direction::DeviceToHost => {
                     self.join_object(job.dev, job.addr)?;
                     let src = job.dev_addr.add(job.offset);
-                    // Stale bytes need no clearing: the copy overwrites
-                    // exactly the slice it is given.
-                    let len = job.len as usize;
-                    if self.staging.len() < len {
-                        self.staging = vec![0u8; len];
-                    }
-                    let end = self.platform.copy_d2h(
-                        job.dev,
-                        src,
-                        &mut self.staging[..len],
-                        CopyMode::Sync,
-                    )?;
-                    self.vm.write_raw(host, &self.staging[..len])?;
+                    let end = if let Some(span) = self.vm.raw_span_mut(host, job.len) {
+                        self.platform.copy_d2h(job.dev, src, span, CopyMode::Sync)?
+                    } else {
+                        // `resize` keeps the buffer's capacity; the copy
+                        // overwrites every byte of it.
+                        self.staging.resize(job.len as usize, 0);
+                        let end = self.platform.copy_d2h(
+                            job.dev,
+                            src,
+                            &mut self.staging,
+                            CopyMode::Sync,
+                        )?;
+                        self.vm.write_raw(host, &self.staging)?;
+                        end
+                    };
                     self.counters.blocks_fetched += job.blocks;
                     self.counters.bytes_fetched += job.len;
                     end
@@ -341,6 +348,26 @@ impl Runtime {
             self.staging = Vec::new();
         }
         Ok(last_end)
+    }
+
+    /// Host bytes of `[addr, addr+len)` for a transfer to read: lent in
+    /// place from the runtime view where the range is one host span, else
+    /// staged in `staging` (the arena backend's path).
+    ///
+    /// # Errors
+    /// [`softmmu::MmuError::Unmapped`] for holes.
+    pub(crate) fn host_bytes<'a>(
+        vm: &'a AddressSpace,
+        staging: &'a mut Vec<u8>,
+        addr: VAddr,
+        len: u64,
+    ) -> softmmu::MmuResult<&'a [u8]> {
+        if let Some(span) = vm.raw_span(addr, len) {
+            return Ok(span);
+        }
+        staging.clear();
+        vm.read_raw_into(addr, len, staging)?;
+        Ok(staging)
     }
 
     /// Joins all outstanding host-to-device DMA on `dev` — the explicit join

@@ -53,7 +53,7 @@ use crate::session::{SessionId, SessionView};
 use crate::state::BlockState;
 use crate::xfer::{DmaEngine, Purpose};
 use hetsim::{Category, CopyMode, DevAddr, DeviceId, Direction, Platform, SimError, StreamId};
-use softmmu::{AccessKind, MmuError, Scalar, VAddr};
+use softmmu::{AccessKind, AddressSpace, MmuError, MmuResult, Scalar, VAddr};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -139,6 +139,26 @@ struct ObjMemo {
     start: VAddr,
     end: u64,
     slot: usize,
+}
+
+/// Where [`DeviceShard::shared_write`]'s general form takes its bytes.
+#[derive(Debug, Clone, Copy)]
+enum WriteSrc<'a> {
+    /// A caller buffer exactly as long as the destination range.
+    Bytes(&'a [u8]),
+    /// The same-length range at this address of the shard's own host
+    /// mapping, already readable and disjoint from the destination.
+    Host(VAddr),
+}
+
+impl WriteSrc<'_> {
+    /// Lands source bytes `[at, at+len)` at `dst` (raw, "kernel mode").
+    fn land(self, vm: &mut AddressSpace, dst: VAddr, at: u64, len: u64) -> MmuResult<()> {
+        match self {
+            WriteSrc::Bytes(bytes) => vm.write_raw(dst, &bytes[at as usize..(at + len) as usize]),
+            WriteSrc::Host(src) => vm.copy_raw(src + at, dst, len),
+        }
+    }
 }
 
 /// The independently-lockable runtime state of one accelerator.
@@ -841,8 +861,7 @@ impl DeviceShard {
     }
 
     pub(crate) fn load_slice<T: Scalar>(&mut self, ptr: SharedPtr, n: usize) -> GmacResult<Vec<T>> {
-        let bytes = self.shared_read(ptr, n as u64 * T::SIZE as u64)?;
-        Ok(softmmu::from_bytes(&bytes))
+        softmmu::decode_with(n, |bytes| self.shared_read_into(ptr, bytes))
     }
 
     pub(crate) fn store_slice<T: Scalar>(
@@ -850,7 +869,7 @@ impl DeviceShard {
         ptr: SharedPtr,
         values: &[T],
     ) -> GmacResult<()> {
-        self.shared_write(ptr, &softmmu::to_bytes(values))
+        self.shared_write(ptr, &softmmu::as_bytes(values))
     }
 
     /// The "signal handler": charge delivery + lookup, then let the protocol
@@ -877,28 +896,39 @@ impl DeviceShard {
     /// Shared read used by slice loads, bulk ops and I/O: pay one fault per
     /// touched block that is not readable, resolve the whole range through
     /// the protocol in a single batched call (runs of adjacent invalid
-    /// blocks coalesce into single DMA jobs), then copy.
-    pub(crate) fn shared_read(&mut self, ptr: SharedPtr, len: u64) -> GmacResult<Vec<u8>> {
+    /// blocks coalesce into single DMA jobs), then copy `[ptr, ptr+len)`
+    /// straight into `out` (`len = out.len()`).
+    pub(crate) fn shared_read_into(&mut self, ptr: SharedPtr, out: &mut [u8]) -> GmacResult<()> {
+        let len = out.len() as u64;
         self.resolve_read_range(ptr, len)?;
-        self.read_resolved(ptr, len)
-    }
-
-    /// Copies `[ptr, ptr+len)` out of system memory, assuming the caller
-    /// already made the range readable via [`Self::resolve_read_range`]
-    /// (the I/O interposition resolves a whole operation's extent once,
-    /// then drains it chunk by chunk through this). The copy lands in the
-    /// vector's spare capacity — no zero-fill pass, so a multi-MB read
-    /// touches each destination byte once, not twice.
-    pub(crate) fn read_resolved(&mut self, ptr: SharedPtr, len: u64) -> GmacResult<Vec<u8>> {
-        let (start, _) = self.locate(ptr.addr())?;
-        let base_offset = ptr.addr() - start;
-        let mut out = Vec::with_capacity(len as usize);
-        self.rt
-            .vm
-            .read_raw_into(start + base_offset, len, &mut out)?;
+        self.rt.vm.read_raw(ptr.addr(), out)?;
         // The application's own CPU time to traverse the range.
         self.rt.platform.cpu_touch(len);
-        Ok(out)
+        Ok(())
+    }
+
+    /// [`Self::shared_read_into`] a new buffer: the staged copies, across
+    /// shards or between overlapping ranges.
+    pub(crate) fn shared_read(&mut self, ptr: SharedPtr, len: u64) -> GmacResult<Vec<u8>> {
+        softmmu::decode_with(len as usize, |out| self.shared_read_into(ptr, out))
+    }
+
+    /// Same-shard shared-to-shared copy between disjoint ranges, with no
+    /// temporary: the source is resolved and charged exactly as
+    /// [`Self::shared_read`] would, then each destination run is copied in
+    /// place inside the host mapping. Nothing the destination's write path
+    /// does changes the source's host bytes: evictions only flush, and a
+    /// fetch only lands in an invalid block, which no block the source
+    /// touches is any more.
+    pub(crate) fn copy_shared(
+        &mut self,
+        dst: SharedPtr,
+        src: SharedPtr,
+        len: u64,
+    ) -> GmacResult<()> {
+        self.resolve_read_range(src, len)?;
+        self.rt.platform.cpu_touch(len);
+        self.write_from(dst, len, WriteSrc::Host(src.addr()))
     }
 
     /// Makes `[ptr, ptr+len)` CPU-readable: charges one fault-equivalent per
@@ -948,7 +978,11 @@ impl DeviceShard {
     /// possibly one still ahead of the cursor — to ReadOnly, and writing it
     /// without re-dirtying would strand the bytes on the host.
     pub(crate) fn shared_write(&mut self, ptr: SharedPtr, bytes: &[u8]) -> GmacResult<()> {
-        let len = bytes.len() as u64;
+        self.write_from(ptr, bytes.len() as u64, WriteSrc::Bytes(bytes))
+    }
+
+    /// [`Self::shared_write`] of `len` bytes from either source.
+    fn write_from(&mut self, ptr: SharedPtr, len: u64, src: WriteSrc<'_>) -> GmacResult<()> {
         let (start, slot) = self.locate(ptr.addr())?;
         let base_offset = ptr.addr() - start;
         let (block_size, size, touched) = {
@@ -1000,8 +1034,7 @@ impl DeviceShard {
             }
             if dirty {
                 let (lo, hi) = clamp(idx..end);
-                let src = &bytes[(lo - base_offset) as usize..(hi - base_offset) as usize];
-                self.rt.vm.write_raw(start + lo, src)?;
+                src.land(&mut self.rt.vm, start + lo, lo - base_offset, hi - lo)?;
                 // The application's own CPU time to produce/copy the chunk.
                 self.rt.platform.cpu_touch(hi - lo);
             } else {
@@ -1010,8 +1043,7 @@ impl DeviceShard {
                     self.rt.charge_signal(steps, true);
                     self.protocol
                         .prepare_write(&mut self.rt, &mut self.mgr, start, lo, hi - lo)?;
-                    let src = &bytes[(lo - base_offset) as usize..(hi - base_offset) as usize];
-                    self.rt.vm.write_raw(start + lo, src)?;
+                    src.land(&mut self.rt.vm, start + lo, lo - base_offset, hi - lo)?;
                     self.rt.platform.cpu_touch(hi - lo);
                 }
             }

@@ -4,38 +4,39 @@
 //!
 //! The split mirrors the paper's §5.3 rolling-update premise — dirty blocks
 //! stream to the accelerator *while* the CPU keeps producing. Virtual time
-//! already modelled that overlap (DMA engine timelines are reserved at
-//! issue); this engine makes it real in wall-clock terms too:
+//! models that overlap (DMA engine timelines are reserved at issue); the
+//! engine decides where the wall-clock copy runs:
 //!
 //! ```text
-//!  protocol release/evict (shard lock held)
-//!      │ plan + stage bytes + Platform::reserve_h2d  — all virtual charges
+//!  protocol release/evict/memset flush (shard lock held)
+//!      │ plan + Platform::reserve_h2d  — all virtual charges
 //!      ▼
-//!  DmaEngine::submit ── Purpose::Eviction, len <= INLINE_MAX, queue idle? ──┐
-//!      │ no: owned snapshot                                             yes │
+//!  DmaEngine::submit ───── Purpose::Eviction and queue idle? ──────────────┐
+//!      │ no (Release, MemsetFlush, or                                   yes │
+//!      │ a busy queue): owned snapshot                                      │
 //!      ▼                                                                    ▼
-//!  per-device FIFO queue (engine mutex, leaf tier)        land() on the submitting
-//!      │ worker thread pops, holding NO shard lock        thread, under the queue
-//!      ▼                                                  mutex: no hand-off
-//!  land(): Platform::commit_h2d — device mutex only ◄───────────────────────┘
+//!  per-device FIFO queue (engine mutex, leaf tier)     land() on the submitting
+//!      │ worker thread pops, holding NO shard lock     thread, under the queue
+//!      ▼                                               mutex, straight from the
+//!  land(): Platform::commit_h2d — device mutex only ◄─ borrowed host view ─┘
 //!      │
 //!      ▼
 //!  completion accounting (tickets, per-object counts, first-error slot)
 //! ```
 //!
-//! **The inline branch.** A hand-off to the worker costs a mutex + condvar
-//! wake-up and, when the submitter next reads the object, a second context
-//! switch to wait for the worker. For a rolling-update eager eviction of one
-//! small block that is twenty times the copy itself, so such a job lands
-//! where it was submitted when all three hold: the plan's purpose is
-//! [`Purpose::Eviction`] (a solitary per-fault job — batched
-//! [`Purpose::Release`] flushes always queue), it is at most [`INLINE_MAX`]
-//! bytes, and the device's queue is idle (`completed == submitted`), so
-//! per-device FIFO order is untouched: a small job can never overtake an
-//! older queued landing of the same range. Both branches go through the one
-//! `land` helper — same `commit_h2d` (with its `CommitH2d` failpoint), same
-//! completion accounting, same first-error slot. Measured on one CPU only;
-//! how the trade moves with a second CPU free for the worker is unmeasured.
+//! **The inline branch.** A hand-off to the worker costs a snapshot copy, a
+//! mutex + condvar wake-up and, when the submitter next reads the object, a
+//! context switch to wait for the worker. A rolling-update eager eviction is
+//! a solitary per-fault job, so it lands where it was submitted, at any
+//! size, whenever the device's queue is idle (`completed == submitted`):
+//! per-device FIFO order is untouched, and an eviction can never overtake
+//! an older queued landing of the same range. Batched [`Purpose::Release`]
+//! and [`Purpose::MemsetFlush`] jobs always queue with their snapshot. Both
+//! branches go through the one `land` helper — same `commit_h2d` (with its
+//! `CommitH2d` failpoint), same completion accounting, same first-error
+//! slot. Queueing evictions measured slower with one CPU and with two (the
+//! `overlap` binary; numbers in the README), so no size or CPU-count
+//! selector exists.
 //!
 //! Because [`hetsim::Platform::reserve_h2d`] performs every clock and ledger
 //! charge at submission, a run with the engine enabled is byte-identical in
@@ -58,16 +59,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Largest eviction job [`DmaEngine::submit`] lands on the submitting thread.
-///
-/// The hand-off to a worker costs ~4.15 us per job (`core.xfer.engine_job_us`
-/// in the repo benchmark) and a host-to-device copy runs at ~9.65 GB/s
-/// (`hetsim.copy_h2d_gbps`), so a copy is cheaper than its hand-off up to
-/// ~40 KiB; 32 KiB is the power of two below the crossover. `bulk_copy`'s
-/// 256 KiB blocks and `gmac-bench`'s `overlap` (64 KiB blocks) stay on the
-/// queued side, `fault_storm`'s 4 KiB blocks land inline.
-pub const INLINE_MAX: u64 = 32 * 1024;
 
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -141,8 +132,8 @@ impl EngineStats {
 /// device has its own FIFO queue and worker thread, so landings for
 /// different accelerators proceed concurrently and landings for one device
 /// retire in submission order (a later flush of the same range can never be
-/// overtaken by an earlier one). Small solitary eviction jobs skip the
-/// worker when the queue is idle (see [`INLINE_MAX`] and the module docs).
+/// overtaken by an earlier one). Solitary eviction jobs skip the worker
+/// when the queue is idle (see the module docs).
 #[derive(Debug)]
 pub struct DmaEngine {
     platform: Arc<Platform>,
@@ -182,22 +173,22 @@ impl DmaEngine {
         &self.devices[dev.0]
     }
 
-    /// The static two of the three inline conditions: a solitary eviction
-    /// job of at most [`INLINE_MAX`] bytes. The caller uses it to stage such
-    /// a job in a reusable buffer instead of an owned snapshot; whether it
-    /// really lands inline is decided in [`Self::submit`], which also needs
-    /// the queue idle.
-    pub fn inline_candidate(purpose: Purpose, len: u64) -> bool {
-        purpose == Purpose::Eviction && len <= INLINE_MAX
+    /// The static half of the inline test: a solitary eviction job, of any
+    /// size. The caller lends such a job's bytes in place instead of taking
+    /// an owned snapshot; whether it really lands inline is decided in
+    /// [`Self::submit`], which also needs the queue idle.
+    pub fn inline_candidate(purpose: Purpose) -> bool {
+        purpose == Purpose::Eviction
     }
 
     /// Hands a byte landing for `dev` to the engine. The caller has already
     /// reserved the virtual DMA timeline ([`hetsim::Platform::reserve_h2d`]).
     ///
     /// An [`Self::inline_candidate`] job submitted to an idle queue lands
-    /// here, on the calling thread, under the queue mutex; everything else
-    /// is queued for the worker with an owned snapshot of `bytes` (the
-    /// snapshot is what pins a queued job against later CPU writes).
+    /// here, on the calling thread, under the queue mutex, from `bytes` as
+    /// lent; everything else is queued for the worker with an owned
+    /// snapshot of `bytes` (the snapshot is what pins a queued job against
+    /// later CPU writes).
     pub fn submit(
         &self,
         dev: DeviceId,
@@ -210,7 +201,7 @@ impl DmaEngine {
         let mut q = lock_ok(&state.queue);
         let idle = q.completed == q.submitted;
         q.submitted += 1;
-        if idle && Self::inline_candidate(purpose, bytes.len() as u64) {
+        if idle && Self::inline_candidate(purpose) {
             land(&self.platform, dev, state, Some(q), obj, dst, &bytes);
             return;
         }
@@ -489,10 +480,11 @@ mod tests {
 
     #[test]
     fn small_eviction_on_an_idle_queue_lands_inline() {
+        const LEN: u64 = 32 * 1024;
         let p = platform();
-        let a = p.dev_alloc(DEV, INLINE_MAX).unwrap();
+        let a = p.dev_alloc(DEV, LEN).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
-        evict(&engine, a, &vec![7u8; INLINE_MAX as usize]);
+        evict(&engine, a, &vec![7u8; LEN as usize]);
         // Landed before `submit` returned: nothing in flight, nothing to
         // wait for (zero blocked time means the clock was never read), the
         // queue was never used and nothing overlapped.
@@ -501,27 +493,32 @@ mod tests {
         assert_eq!(s.depth_high_water, 0, "inline landings are not queued");
         assert!(!engine.object_busy(DEV, OBJ));
         let dev = p.device(DEV).unwrap();
-        assert!(dev
-            .mem()
-            .slice(a, INLINE_MAX)
-            .unwrap()
-            .iter()
-            .all(|&b| b == 7));
+        assert!(dev.mem().slice(a, LEN).unwrap().iter().all(|&b| b == 7));
         drop(dev);
         assert_eq!(engine.wait_object(DEV, OBJ).unwrap(), 0);
         assert_eq!(engine.wait_device(DEV).unwrap(), 0, "no overlap counted");
     }
 
     #[test]
-    fn release_jobs_and_large_evictions_stay_queued() {
+    fn release_jobs_queue_and_large_evictions_land_inline() {
+        // `bulk_copy`'s block size.
+        const LARGE: usize = 256 * 1024;
         let p = platform();
-        let a = p.dev_alloc(DEV, 2 * INLINE_MAX).unwrap();
+        let a = p.dev_alloc(DEV, LARGE as u64).unwrap();
         let engine = DmaEngine::new(Arc::clone(&p));
         submit(&engine, a, vec![1u8; 4096]);
         engine.wait_device(DEV).unwrap();
-        evict(&engine, a, &vec![2u8; INLINE_MAX as usize + 1]);
-        engine.wait_device(DEV).unwrap();
-        assert_eq!(engine.stats().depth_high_water, 1, "both went to the queue");
+        assert_eq!(engine.stats().depth_high_water, 1, "the release queued");
+        evict(&engine, a, &vec![2u8; LARGE]);
+        let s = engine.stats();
+        assert_eq!((s.in_flight(), s.depth_high_water), (0, 1), "landed inline");
+        let dev = p.device(DEV).unwrap();
+        assert!(dev
+            .mem()
+            .slice(a, LARGE as u64)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 2));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!      ▼
 //!  DmaEngine ──► per-device worker threads land the bytes in device
 //!                memory outside the shard lock (wall-clock overlap);
-//!                join_dma waits on the completion table. A small solitary
+//!                join_dma waits on the completion table. A solitary
 //!                eviction on an idle queue lands on the submitting thread
-//!                instead (no hand-off; see [`INLINE_MAX`])
+//!                instead, straight from the host view (no hand-off)
 //! ```
 //!
 //! Coalescing is controlled by [`crate::GmacConfig::coalescing`]; with it
@@ -38,6 +38,6 @@ pub mod engine;
 pub mod plan;
 pub mod queue;
 
-pub use engine::{DmaEngine, EngineStats, INLINE_MAX};
+pub use engine::{DmaEngine, EngineStats};
 pub use plan::{DmaJob, Purpose, TransferPlan};
 pub use queue::DmaQueue;

@@ -11,7 +11,7 @@
 //! call), never use-after-free; and dropping the runtime with a non-empty
 //! queue must drain and join the workers, never deadlock.
 
-use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol, INLINE_MAX};
+use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol};
 use hetsim::{Category, DeviceId, LaunchDims, Platform};
 use proptest::prelude::*;
 use workloads::stencil3d::Stencil3d;
@@ -71,14 +71,43 @@ fn async_modes_are_byte_identical_on_all_workloads() {
 }
 
 #[test]
-fn streaming_workload_overlaps_jobs_with_the_engine() {
-    let on = run(&StreamPipeline::small(), true);
-    let c = on.counters.unwrap();
-    assert!(
-        c.jobs_overlapped > 0,
-        "double-buffered streaming must retire jobs between joins (got {})",
-        c.jobs_overlapped
+fn streaming_evictions_land_inline_and_only_release_jobs_queue() {
+    // A Rolling write stream over 64 KiB blocks (the `overlap` benchmark's
+    // geometry) with a two-block window: every first-write past the window
+    // evicts the oldest dirty block. An eviction lands on the writing
+    // thread whenever its device queue is idle, at any size, so between
+    // calls nothing ever sits in the queue; a call's release flush (the two
+    // adjacent window blocks, one coalesced job) is the only queued work,
+    // and the call joins it before the next pass starts evicting.
+    const BLOCK: u64 = 64 * 1024;
+    const SIZE: usize = 32 * BLOCK as usize;
+    let g = Gmac::new(
+        Platform::desktop_g280(),
+        GmacConfig::default()
+            .protocol(Protocol::Rolling)
+            .block_size(BLOCK)
+            .rolling_size(2),
     );
+    g.with_platform(|p| p.register_kernel(std::sync::Arc::new(gmac::testutil::NopKernel)));
+    let s = g.session();
+    let p = s.alloc(SIZE as u64).unwrap();
+    let pattern: Vec<u8> = (0..SIZE).map(|i| (i / 251) as u8).collect();
+    s.store_slice::<u8>(p, &pattern).unwrap();
+    assert_eq!(g.counters().eager_evictions, 30, "the stream evicted");
+    assert_eq!(g.report().dma_queue_high_water, 0, "no eviction was queued");
+    for pass in 0..4u8 {
+        s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
+            .unwrap();
+        s.sync().unwrap();
+        s.store_slice::<u8>(p, &vec![pass; SIZE]).unwrap();
+    }
+    assert_eq!(g.counters().eager_evictions, 5 * 30);
+    assert_eq!(
+        g.report().dma_queue_high_water,
+        1,
+        "only one call's release job ever queued"
+    );
+    assert!(s.load_slice::<u8>(p, SIZE).unwrap().iter().all(|&b| b == 3));
 }
 
 proptest! {
@@ -130,13 +159,13 @@ proptest! {
 
 #[test]
 fn modes_are_identical_on_both_sides_of_inline_max() {
-    // One Rolling write / call / read / rewrite / call / read sequence at a
-    // block size whose evictions the engine lands inline (`INLINE_MAX`) and
-    // at one it queues (`2 * INLINE_MAX`): on either side of the constant
-    // the engine must be indistinguishable from the `async_dma(false)`
-    // ablation in everything the simulation observes.
+    // One Rolling write / call / read / rewrite / call / read sequence at
+    // `fault_storm`'s 4 KiB and `bulk_copy`'s 256 KiB blocks, whose
+    // evictions both land inline: at either size the engine must be
+    // indistinguishable from the `async_dma(false)` ablation in everything
+    // the simulation observes.
     const BLOCKS: u64 = 16;
-    for block in [INLINE_MAX, 2 * INLINE_MAX] {
+    for block in [4 * 1024, 256 * 1024] {
         let size = (BLOCKS * block) as usize;
         let run = |async_dma: bool| {
             let cfg = GmacConfig::default()
@@ -193,25 +222,22 @@ fn modes_are_identical_on_both_sides_of_inline_max() {
             "block {block}: digest, virtual time, ledger categories, fault/eviction, \
              block and byte counts, TransferLedger"
         );
-        // Inline landings never sit in the queue: on the inline side only
-        // the release jobs do (one, then two non-adjacent blocks).
-        if block == INLINE_MAX {
-            assert!(high_water <= 2, "evictions of INLINE_MAX bytes land inline");
-        }
+        // Inline landings never sit in the queue: only the release jobs do
+        // (one, then two non-adjacent blocks).
+        assert!(high_water <= 2, "block {block}: evictions land inline");
     }
 }
 
 #[test]
 fn free_while_a_flush_is_in_flight_joins_and_succeeds() {
-    // Rolling + blocks just above `INLINE_MAX` (smaller ones land on the
-    // writing thread): the write eagerly queues flush jobs on the engine;
-    // the free must join the object's jobs before unmapping so no worker
-    // lands bytes into a recycled device range.
+    // Rolling: the release queues flush jobs on the engine; the free must
+    // join the object's jobs before unmapping so no worker lands bytes into
+    // a recycled device range.
     let g = Gmac::new(
         Platform::desktop_g280(),
         GmacConfig::default()
             .protocol(Protocol::Rolling)
-            .block_size(2 * INLINE_MAX),
+            .block_size(64 * 1024),
     );
     let s = g.session();
     let p = s.alloc(4 << 20).unwrap();
@@ -256,7 +282,7 @@ fn dropping_gmac_with_queued_jobs_drains_and_never_deadlocks() {
             Platform::desktop_g280(),
             GmacConfig::default()
                 .protocol(Protocol::Rolling)
-                .block_size(2 * INLINE_MAX),
+                .block_size(64 * 1024),
         );
         let s = g.session();
         let p = s.alloc(8 << 20).unwrap();

@@ -141,70 +141,81 @@ fn failed_eviction_keeps_its_victim_in_the_rolling_fifo() {
     // block. When that eviction's reservation fails the victim is still
     // Dirty and still counted, so it must stay the oldest FIFO entry — else
     // every later first-write finds only itself to evict, downgrades the
-    // block it has just dirtied and fails as an unresolved fault.
-    let g = nop_gmac(
-        GmacConfig::default()
-            .protocol(Protocol::Rolling)
-            .block_size(4096)
-            .rolling_size(1),
-    );
-    let s = g.session();
-    let p = s.alloc(16 * 4096).unwrap();
-    s.store::<u32>(p, 1).unwrap();
-    s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
-    let err = s.store::<u32>(p.byte_add(4096), 2).unwrap_err();
-    assert_injected(err, FaultOp::ReserveH2d);
-    s.with_platform(|p| p.disarm_faults());
-    for block in 2..8u64 {
-        s.store::<u32>(p.byte_add(block * 4096), block as u32)
-            .unwrap_or_else(|e| panic!("first write to block {block} after the failure: {e}"));
-        assert!(s.dirty_block_count() <= 1, "rolling bound holds again");
-    }
-    // Nothing was lost on the way: the kernel-side copy matches.
-    s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
-        .unwrap();
-    s.sync().unwrap();
-    let expect = [1, 0, 2, 3, 4, 5, 6, 7];
-    for (block, want) in expect.into_iter().enumerate() {
-        let got = s.load::<u32>(p.byte_add(block as u64 * 4096)).unwrap();
-        // The failed store itself never landed; block 1 was dirtied (its
-        // page made writable) but holds the allocation's zeroes.
-        assert_eq!(got, want, "block {block}");
+    // block it has just dirtied and fails as an unresolved fault. At 4 KiB
+    // and at 256 KiB blocks: evictions of either size land inline.
+    for block in [4096u64, 256 * 1024] {
+        let g = nop_gmac(
+            GmacConfig::default()
+                .protocol(Protocol::Rolling)
+                .block_size(block)
+                .rolling_size(1),
+        );
+        let s = g.session();
+        let p = s.alloc(16 * block).unwrap();
+        s.store::<u32>(p, 1).unwrap();
+        s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
+        let err = s.store::<u32>(p.byte_add(block), 2).unwrap_err();
+        assert_injected(err, FaultOp::ReserveH2d);
+        s.with_platform(|p| p.disarm_faults());
+        for b in 2..8u64 {
+            s.store::<u32>(p.byte_add(b * block), b as u32)
+                .unwrap_or_else(|e| panic!("block size {block}: first write to block {b}: {e}"));
+            assert!(s.dirty_block_count() <= 1, "rolling bound holds again");
+        }
+        // Nothing was lost on the way: the kernel-side copy matches.
+        s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
+            .unwrap();
+        s.sync().unwrap();
+        let expect = [1, 0, 2, 3, 4, 5, 6, 7];
+        for (b, want) in expect.into_iter().enumerate() {
+            let got = s.load::<u32>(p.byte_add(b as u64 * block)).unwrap();
+            // The failed store itself never landed; block 1 was dirtied (its
+            // page made writable) but holds the allocation's zeroes.
+            assert_eq!(got, want, "block size {block}: block {b}");
+        }
     }
 }
 
 #[test]
 fn inline_commit_failure_surfaces_once_at_the_next_join() {
-    // Armed *before* the stores: the failing job is a 4 KiB eager eviction,
-    // which the engine lands on the storing thread. The failure must take
-    // the same route as a worker's — stashed in the device's first-error
-    // slot, raised exactly once by the next join, runtime usable after.
-    let g = nop_gmac(
-        GmacConfig::default()
-            .protocol(Protocol::Rolling)
-            .block_size(4096)
-            .async_dma(true),
-    );
-    let s = g.session();
-    let p = s.alloc(64 * 1024).unwrap();
-    s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
-    // The stores themselves succeed: an eager eviction reports at a join.
-    s.store_slice::<u8>(p, &[0xCD; 64 * 1024]).unwrap();
-    let err = s
-        .call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
-        .err()
-        .or_else(|| s.sync().err())
-        .expect("injected inline commit failure was swallowed");
-    let (device, nth) = assert_injected(err, FaultOp::CommitH2d);
-    assert_eq!((device, nth), (0, 0));
-    s.with_platform(|p| p.disarm_faults());
-    assert_eq!(g.report().dma_in_flight, 0);
-    // Consumed: nothing left to raise, same object and engine keep working.
-    s.store_slice::<u8>(p, &[0xEE; 64 * 1024]).unwrap();
-    s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
-        .unwrap();
-    s.sync().unwrap();
-    assert_eq!(s.load_slice::<u8>(p, 64 * 1024).unwrap(), [0xEE; 64 * 1024]);
+    // Armed *before* the stores: the failing job is an eager eviction, which
+    // the engine lands on the storing thread at 4 KiB and at 256 KiB alike.
+    // The failure must take the same route as a worker's — stashed in the
+    // device's first-error slot, raised exactly once by the next join,
+    // runtime usable after.
+    for block in [4096usize, 256 * 1024] {
+        let size = 16 * block;
+        let g = nop_gmac(
+            GmacConfig::default()
+                .protocol(Protocol::Rolling)
+                .block_size(block as u64)
+                .async_dma(true),
+        );
+        let s = g.session();
+        let p = s.alloc(size as u64).unwrap();
+        s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
+        // The stores themselves succeed: an eager eviction reports at a join.
+        s.store_slice::<u8>(p, &vec![0xCD; size]).unwrap();
+        let err = s
+            .call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
+            .err()
+            .or_else(|| s.sync().err())
+            .expect("injected inline commit failure was swallowed");
+        let (device, nth) = assert_injected(err, FaultOp::CommitH2d);
+        assert_eq!((device, nth), (0, 0), "block size {block}");
+        s.with_platform(|p| p.disarm_faults());
+        assert_eq!(g.report().dma_in_flight, 0);
+        // Consumed: nothing left to raise, same object and engine keep working.
+        s.store_slice::<u8>(p, &vec![0xEE; size]).unwrap();
+        s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
+            .unwrap();
+        s.sync().unwrap();
+        assert!(s
+            .load_slice::<u8>(p, size)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0xEE));
+    }
 }
 
 #[test]

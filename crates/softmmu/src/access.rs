@@ -9,6 +9,7 @@ use crate::addr::VAddr;
 use crate::fault::MmuResult;
 use crate::prot::AccessKind;
 use crate::space::AddressSpace;
+use std::borrow::Cow;
 
 /// A plain-old-data scalar that can cross the softmmu boundary.
 ///
@@ -97,24 +98,9 @@ impl AddressSpace {
     /// # Errors
     /// Propagates protection faults and unmapped-page errors.
     pub fn load_slice<T: Scalar>(&mut self, addr: VAddr, n: usize) -> MmuResult<Vec<T>> {
-        let len = n * T::SIZE;
-        if T::RAW_COMPAT {
-            self.check(addr, len as u64, AccessKind::Read)?;
-            let mut out: Vec<T> = Vec::with_capacity(n);
-            // SAFETY: the spare capacity is viewed as bytes and filled
-            // completely by `copy_out_ref` (the range was just checked);
-            // RAW_COMPAT scalars accept any bit pattern, so setting the
-            // length afterwards covers only initialized, valid elements.
-            unsafe {
-                let dst = std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), len);
-                self.copy_out_ref(addr, dst)?;
-                out.set_len(n);
-            }
-            return Ok(out);
-        }
-        let mut bytes = vec![0u8; len];
-        self.read_bytes(addr, &mut bytes)?;
-        Ok(bytes.chunks_exact(T::SIZE).map(T::load_le).collect())
+        let len = (n * T::SIZE) as u64;
+        self.check(addr, len, AccessKind::Read)?;
+        decode_with(n, |bytes| self.copy_out_ref(addr, bytes))
     }
 
     /// Checked store of consecutive scalars starting at `addr`.
@@ -122,46 +108,59 @@ impl AddressSpace {
     /// # Errors
     /// Propagates protection faults and unmapped-page errors.
     pub fn store_slice<T: Scalar>(&mut self, addr: VAddr, values: &[T]) -> MmuResult<()> {
-        if T::RAW_COMPAT {
-            // SAFETY: RAW_COMPAT guarantees the in-memory representation is
-            // the padding-free little-endian encoding, so the slice can be
-            // written as raw bytes without an intermediate encode pass.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(
-                    values.as_ptr().cast::<u8>(),
-                    std::mem::size_of_val(values),
-                )
-            };
-            return self.write_bytes(addr, bytes);
-        }
-        let mut bytes = vec![0u8; values.len() * T::SIZE];
-        for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(values) {
-            v.store_le(chunk);
-        }
-        self.write_bytes(addr, &bytes)
+        self.write_bytes(addr, &as_bytes(values))
     }
+}
+
+/// The little-endian bytes of a scalar slice: borrowed in place for a
+/// [`Scalar::RAW_COMPAT`] element type, encoded into a new buffer otherwise.
+pub fn as_bytes<T: Scalar>(values: &[T]) -> Cow<'_, [u8]> {
+    if T::RAW_COMPAT {
+        // SAFETY: RAW_COMPAT guarantees the in-memory representation is the
+        // padding-free little-endian encoding, so the slice's memory *is*
+        // its byte encoding.
+        return Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+        });
+    }
+    let mut bytes = vec![0u8; values.len() * T::SIZE];
+    for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(values) {
+        v.store_le(chunk);
+    }
+    Cow::Owned(bytes)
+}
+
+/// `n` scalars decoded from the little-endian bytes `fill` writes into the
+/// slice it is given. For a [`Scalar::RAW_COMPAT`] element type that slice
+/// is the returned vector's own storage — one pass, no second buffer;
+/// other types decode from a byte buffer.
+///
+/// # Errors
+/// Whatever `fill` returns; no vector is returned then.
+pub fn decode_with<T: Scalar, E>(
+    n: usize,
+    fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<Vec<T>, E> {
+    if T::RAW_COMPAT {
+        // All-zero elements: a large vector comes straight from `calloc`,
+        // so `fill` is the first pass over its pages.
+        let mut out = vec![T::load_le(&[0u8; 8][..T::SIZE]); n];
+        let len = std::mem::size_of_val(out.as_slice());
+        // SAFETY: the `len` bytes are the initialized elements' storage, and
+        // RAW_COMPAT scalars have no padding and accept every bit pattern,
+        // so that storage may be written as plain bytes.
+        fill(unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), len) })?;
+        return Ok(out);
+    }
+    let mut bytes = vec![0u8; n * T::SIZE];
+    fill(&mut bytes)?;
+    Ok(bytes.chunks_exact(T::SIZE).map(T::load_le).collect())
 }
 
 /// Encodes a scalar slice to little-endian bytes (host-private buffers).
 /// A [`Scalar::RAW_COMPAT`] element type makes this a single `memcpy`.
 pub fn to_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
-    let len = values.len() * T::SIZE;
-    if T::RAW_COMPAT {
-        let mut bytes = Vec::with_capacity(len);
-        // SAFETY: RAW_COMPAT scalars have no padding and their in-memory
-        // representation is exactly their little-endian encoding; the copy
-        // initializes the whole reserved prefix before the length is set.
-        unsafe {
-            std::ptr::copy_nonoverlapping(values.as_ptr().cast::<u8>(), bytes.as_mut_ptr(), len);
-            bytes.set_len(len);
-        }
-        return bytes;
-    }
-    let mut bytes = vec![0u8; len];
-    for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(values) {
-        v.store_le(chunk);
-    }
-    bytes
+    as_bytes(values).into_owned()
 }
 
 /// Decodes little-endian bytes into a scalar vector.
@@ -175,22 +174,11 @@ pub fn from_bytes<T: Scalar>(bytes: &[u8]) -> Vec<T> {
         0,
         "byte length not a scalar multiple"
     );
-    let n = bytes.len() / T::SIZE;
-    if T::RAW_COMPAT {
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        // SAFETY: any bit pattern is a valid RAW_COMPAT scalar and the copy
-        // initializes every element counted by the subsequent `set_len`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().cast::<u8>(),
-                bytes.len(),
-            );
-            out.set_len(n);
-        }
-        return out;
-    }
-    bytes.chunks_exact(T::SIZE).map(T::load_le).collect()
+    decode_with(bytes.len() / T::SIZE, |out| {
+        out.copy_from_slice(bytes);
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {})
 }
 
 #[cfg(test)]

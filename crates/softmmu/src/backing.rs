@@ -329,6 +329,63 @@ impl MmapBacking {
         }
     }
 
+    /// True when the non-empty range `[addr, addr+len)` is backed and maps
+    /// to one host-contiguous span: every chunk it touches has a host chunk
+    /// (all of which lie inside the reservation), so the span is in bounds.
+    fn one_span(&self, addr: VAddr, len: u64) -> bool {
+        let end = addr.0.saturating_add(len);
+        if len == 0 || end > VADDR_LIMIT {
+            return false;
+        }
+        let chunks = (addr.0 >> CHUNK_SHIFT) as usize..=((end - 1) >> CHUNK_SHIFT) as usize;
+        self.chunk_of[chunks].iter().all(|&c| c != UNASSIGNED) && self.is_contiguous(addr, len)
+    }
+
+    /// Borrowed runtime-view bytes of a backed range, or `None` unless it is
+    /// one host-contiguous span (the bulk paths' zero-copy view).
+    pub fn span(&self, addr: VAddr, len: u64) -> Option<&[u8]> {
+        if !self.one_span(addr, len) {
+            return None;
+        }
+        let off = self.host_offset(addr) as usize;
+        // SAFETY: `one_span` proved the span in bounds of the runtime view;
+        // it is borrowed at `&self` lifetime, runtime writers of the same
+        // bytes go through `&mut self` or are serialized by the owning
+        // shard's lock, and lock-free user-view writers are excluded by the
+        // ADSM contract, as for `bytes` (module docs).
+        Some(unsafe { std::slice::from_raw_parts(self.runtime.add(off), len as usize) })
+    }
+
+    /// Mutable runtime-view bytes of a host-contiguous backed range.
+    pub fn span_mut(&mut self, addr: VAddr, len: u64) -> Option<&mut [u8]> {
+        if !self.one_span(addr, len) {
+            return None;
+        }
+        let off = self.host_offset(addr) as usize;
+        // SAFETY: as `span`, with exclusive access through `&mut self`.
+        Some(unsafe { std::slice::from_raw_parts_mut(self.runtime.add(off), len as usize) })
+    }
+
+    /// `memmove`s `len` bytes from `src` to `dst` inside the runtime view
+    /// when both ranges are backed host-contiguous spans; returns `false`
+    /// (copying nothing) otherwise.
+    pub fn copy_within(&mut self, src: VAddr, dst: VAddr, len: u64) -> bool {
+        if !(self.one_span(src, len) && self.one_span(dst, len)) {
+            return false;
+        }
+        let (from, to) = (self.host_offset(src), self.host_offset(dst));
+        // SAFETY: `one_span` proved both spans in bounds of the runtime
+        // view, and `ptr::copy` is defined for overlapping ranges.
+        unsafe {
+            std::ptr::copy(
+                self.runtime.add(from as usize),
+                self.runtime.add(to as usize),
+                len as usize,
+            )
+        };
+        true
+    }
+
     /// Borrowed runtime-view bytes of an intra-chunk range (the scalar
     /// access path; a scalar never crosses a chunk because chunks are
     /// page-aligned and scalars are power-of-two sized ≤ 8).

@@ -64,6 +64,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::missing_safety_doc)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod access;
 pub mod addr;
@@ -75,7 +76,7 @@ pub mod space;
 pub mod sys;
 pub mod table;
 
-pub use access::{from_bytes, to_bytes, Scalar};
+pub use access::{as_bytes, decode_with, from_bytes, to_bytes, Scalar};
 pub use addr::{pages_covering, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE, VADDR_LIMIT};
 pub use fault::{Fault, MmuError, MmuResult};
 pub use prot::{AccessKind, Protection};

@@ -755,6 +755,49 @@ impl AddressSpace {
         Ok(buf)
     }
 
+    /// Borrowed ("kernel-mode") bytes of `[addr, addr+len)` in the always-RW
+    /// runtime view, ignoring protection: `Some` only on the mmap backend,
+    /// for a non-empty, mapped, host-contiguous range. Lets the runtime hand
+    /// host bytes to a DMA copy or a file write without staging them;
+    /// `None` just means "stage through [`Self::read_raw`]".
+    pub fn raw_span(&self, addr: VAddr, len: u64) -> Option<&[u8]> {
+        let Backing::Mmap(m) = &self.backing else {
+            return None;
+        };
+        self.require_mapped(addr, len).ok()?;
+        m.span(addr, len)
+    }
+
+    /// Mutable counterpart of [`Self::raw_span`], for landing fetched bytes
+    /// in place; `None` means "stage and [`Self::write_raw`]".
+    pub fn raw_span_mut(&mut self, addr: VAddr, len: u64) -> Option<&mut [u8]> {
+        self.require_mapped(addr, len).ok()?;
+        match &mut self.backing {
+            Backing::Mmap(m) => m.span_mut(addr, len),
+            Backing::Arena(_) => None,
+        }
+    }
+
+    /// Unchecked ("kernel-mode") copy of `len` bytes from `src` to `dst`
+    /// inside this space, with `memmove` semantics: one `memmove` in the
+    /// runtime view when both ranges are host-contiguous, staged through a
+    /// buffer otherwise (the arena backend's path).
+    ///
+    /// # Errors
+    /// [`MmuError::Unmapped`] when either range has a hole; nothing is
+    /// copied then.
+    pub fn copy_raw(&mut self, src: VAddr, dst: VAddr, len: u64) -> MmuResult<()> {
+        self.require_mapped(src, len)?;
+        self.require_mapped(dst, len)?;
+        if let Backing::Mmap(m) = &mut self.backing {
+            if m.copy_within(src, dst, len) {
+                return Ok(());
+            }
+        }
+        let bytes = self.gather(src, len)?;
+        self.copy_in(dst, &bytes)
+    }
+
     fn require_mapped(&self, addr: VAddr, len: u64) -> MmuResult<()> {
         if len == 0 {
             return Ok(());
