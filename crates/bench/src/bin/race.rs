@@ -3,15 +3,14 @@
 //! [`gmac::GmacConfig::race_check`] off vs on.
 //!
 //! Virtual-time results are byte-identical between the two modes on
-//! race-free runs (asserted by the `race` integration suite across the
-//! workload suite); this binary measures and records the host wall-clock
-//! difference, seeding the repository's performance trajectory in
-//! `results/BENCH_race.json`.
+//! race-free runs (asserted across the workload suite by the `race_check`
+//! row of the core crate's `toggles` test suite); this binary measures and
+//! records the host wall-clock difference, seeding the repository's
+//! performance trajectory in `results/BENCH_race.json`.
 //!
 //! Usage: `race [--quick]`
 
-use gmac_bench::hotpath::Scale;
-use gmac_bench::race::{run_all, to_json};
+use gmac_bench::race::{run_all, to_json, Scale};
 use gmac_bench::TextTable;
 use std::io::Write as _;
 

@@ -8,12 +8,8 @@
 
 #![warn(missing_docs)]
 
-pub mod contention;
 pub mod evict;
-pub mod hotpath;
-pub mod overlap;
 pub mod race;
-pub mod service;
 
 use std::fmt::Write as _;
 use std::fs;

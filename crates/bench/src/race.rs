@@ -2,9 +2,9 @@
 //! call/sync patterns with [`GmacConfig::race_check`] **off vs on**.
 //!
 //! Virtual-time results are byte-identical between the two modes on
-//! race-free runs (asserted by the `race` integration suite across the
-//! workload suite); this harness measures and records the **host**
-//! wall-clock cost of the detector's hooks:
+//! race-free runs (asserted across the workload suite by the `race_check`
+//! row of the core crate's `toggles` test suite); this harness measures
+//! and records the **host** wall-clock cost of the detector's hooks:
 //!
 //! * `scalar_loop` — element-wise fast-path accesses. The detector's
 //!   write hook only fires on the slow path, so the hit path must stay a
@@ -16,7 +16,6 @@
 //!
 //! Used by the `race` binary (which writes `results/BENCH_race.json`).
 
-use crate::hotpath::{best_of, Sample, Scale};
 use gmac::{Gmac, GmacConfig, Param, Protocol, Session};
 use hetsim::{LaunchDims, Platform};
 use std::fmt::Write as _;
@@ -37,9 +36,69 @@ fn session(race_check: bool) -> (Gmac, Session) {
     (gmac, session)
 }
 
-/// Element-wise fast-path loop (same shape as the hotpath bench): the
-/// detector must not instrument the hit path, so off/on should measure
-/// equal within noise.
+/// Problem sizes for one run.
+#[derive(Debug, Clone, Copy)]
+pub struct Scale {
+    /// Elements touched by the scalar and store loops (per pass).
+    pub scalar_elems: usize,
+    /// Scalar- and store-loop passes.
+    pub scalar_passes: usize,
+    /// Blocks of the object each call/sync round trip passes.
+    pub storm_blocks: usize,
+    /// Call/sync round trips (at least 8).
+    pub storm_rounds: usize,
+}
+
+impl Scale {
+    /// Full measurement scale.
+    pub fn full() -> Self {
+        Scale {
+            scalar_elems: 64 * 1024,
+            scalar_passes: 12,
+            storm_blocks: 512,
+            storm_rounds: 24,
+        }
+    }
+
+    /// CI smoke scale (`--quick`).
+    pub fn quick() -> Self {
+        Scale {
+            scalar_elems: 16 * 1024,
+            scalar_passes: 3,
+            storm_blocks: 128,
+            storm_rounds: 4,
+        }
+    }
+}
+
+/// Wall-clock result of one scenario in one mode.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    /// Operations performed.
+    pub ops: u64,
+    /// Total wall-clock nanoseconds.
+    pub wall_ns: u64,
+}
+
+impl Sample {
+    /// Nanoseconds per operation.
+    pub fn ns_per_op(&self) -> f64 {
+        self.wall_ns as f64 / self.ops.max(1) as f64
+    }
+}
+
+/// Best-of-`rounds` measurement: returns the sample with the lowest
+/// ns/op — the standard minimum-noise estimator for microbenchmarks (OS
+/// scheduling and cache pollution only ever add time).
+pub fn best_of(rounds: usize, mut f: impl FnMut() -> Sample) -> Sample {
+    (0..rounds.max(1))
+        .map(|_| f())
+        .min_by(|a, b| a.ns_per_op().total_cmp(&b.ns_per_op()))
+        .expect("at least one round")
+}
+
+/// Element-wise fast-path loop: the detector must not instrument the hit
+/// path, so off/on should measure equal within noise.
 pub fn scalar_loop(race_check: bool, scale: Scale) -> Sample {
     let (_g, s) = session(race_check);
     let v = s.alloc_typed::<u32>(scale.scalar_elems).expect("alloc");

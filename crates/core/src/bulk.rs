@@ -7,8 +7,8 @@
 //! Operations on private memory are forwarded verbatim (in Rust terms: plain
 //! slice operations — nothing to interpose).
 //!
-//! The public surface lives on [`crate::Session`] (and the deprecated
-//! [`crate::Context`] shim); this module holds the shared implementation.
+//! The public surface lives on [`crate::Session`]; this module holds the
+//! implementation.
 
 use crate::config::Protocol;
 use crate::error::GmacResult;

@@ -136,9 +136,6 @@ pub struct GmacConfig {
     pub rolling_factor: usize,
     /// Fixed rolling size override (Figure 12 uses 1/2/4); `None` = adaptive.
     pub rolling_size: Option<usize>,
-    /// Evict dirty blocks eagerly with asynchronous DMA (paper behaviour);
-    /// `false` degrades to synchronous flush at call time (ablation).
-    pub eager_eviction: bool,
     /// Coalesce adjacent/overlapping planned ranges of an object into single
     /// DMA jobs (fewer, larger transfers amortise the link latency — the
     /// §5.2 aggregation lever); `false` issues one job per block (ablation
@@ -152,17 +149,17 @@ pub struct GmacConfig {
     /// different devices take independent locks and genuinely overlap in
     /// wall-clock time. `false` restores the PR-2-era *global-lock* mode —
     /// every operation additionally serialises on one process-wide mutex —
-    /// kept as the ablation baseline for the contention benchmark. The two
-    /// modes run identical code paths, so results are byte-identical; only
-    /// wall-clock concurrency differs.
+    /// kept as the ablation baseline. The two modes run identical code
+    /// paths, so results are byte-identical (the `toggles` test suite
+    /// enforces this); only wall-clock concurrency differs.
     pub sharding: bool,
     /// Enable the access fast path (the default): the softmmu's
     /// direct-mapped TLB, each shard's one-entry object memo and the
     /// per-session route memo. `false` is the ablation baseline paying a
     /// full radix-table walk, manager search and registry route on every
     /// access. The caches are wall-clock-only: digests, virtual times and
-    /// ledgers are **byte-identical** between modes (the `hotpath` bench and
-    /// ablation test enforce this), mirroring [`GmacConfig::sharding`].
+    /// ledgers are **byte-identical** between modes (the `toggles` test
+    /// suite enforces this), mirroring [`GmacConfig::sharding`].
     pub tlb: bool,
     /// Execute host-to-device DMA jobs on background worker threads (the
     /// default): transfer plans are built and virtually charged under the
@@ -170,8 +167,8 @@ pub struct GmacConfig {
     /// worker, so CPU produce genuinely overlaps transfer execution.
     /// `false` is the ablation baseline executing every job inline over the
     /// same plan code paths. The engine is wall-clock-only: digests, virtual
-    /// times and ledgers are **byte-identical** between modes (the `overlap`
-    /// bench and the `async_dma` ablation test enforce this), mirroring
+    /// times and ledgers are **byte-identical** between modes (the `toggles`
+    /// and `async_dma` test suites enforce this), mirroring
     /// [`GmacConfig::sharding`] and [`GmacConfig::tlb`].
     pub async_dma: bool,
     /// Back the unified address space with a real anonymous host mapping
@@ -186,8 +183,8 @@ pub struct GmacConfig {
     /// address space), the runtime **degrades gracefully** to table-walk
     /// and reports it via [`crate::Report::backing_downgraded`] — it never
     /// panics. The backend is wall-clock-only: digests, virtual times and
-    /// ledgers are **byte-identical** between modes (the `hotpath` bench
-    /// and the `mmap_backing` ablation test enforce this), mirroring
+    /// ledgers are **byte-identical** between modes (the `toggles` test
+    /// suite enforces this), mirroring
     /// [`GmacConfig::sharding`], [`GmacConfig::tlb`] and
     /// [`GmacConfig::async_dma`].
     pub mmap_backing: bool,
@@ -242,8 +239,8 @@ pub struct GmacConfig {
     /// [`GmacConfig::race_report`], as a non-fatal log in
     /// [`crate::Report`]). The detector makes **no virtual-time charges**:
     /// on a race-free run, digests, elapsed time and per-category ledgers
-    /// are byte-identical with the detector on or off (the race ablation
-    /// tests enforce this), mirroring every other toggle; the wall-clock
+    /// are byte-identical with the detector on or off (the `toggles` test
+    /// suite enforces this), mirroring every other toggle; the wall-clock
     /// cost is recorded in `results/BENCH_race.json`.
     pub race_check: bool,
     /// With [`GmacConfig::race_check`] on, sink detections into
@@ -269,7 +266,6 @@ impl Default for GmacConfig {
             block_size: 256 * 1024,
             rolling_factor: 2,
             rolling_size: None,
-            eager_eviction: true,
             coalescing: true,
             lookup: LookupKind::Tree,
             aal: AalLayer::Driver,
@@ -326,12 +322,6 @@ impl GmacConfig {
     /// Sets the adaptive rolling-size growth factor.
     pub fn rolling_factor(mut self, factor: usize) -> Self {
         self.rolling_factor = factor.max(1);
-        self
-    }
-
-    /// Enables or disables eager asynchronous eviction.
-    pub fn eager_eviction(mut self, on: bool) -> Self {
-        self.eager_eviction = on;
         self
     }
 
@@ -453,7 +443,6 @@ mod tests {
             "paper: default growth of 2 blocks per allocation"
         );
         assert_eq!(c.rolling_size, None, "adaptive by default");
-        assert!(c.eager_eviction);
         assert!(c.coalescing, "transfer coalescing is the default behaviour");
         assert!(c.sharding, "per-device sharding is the default behaviour");
         assert!(c.tlb, "the access fast path is the default behaviour");
@@ -481,7 +470,6 @@ mod tests {
             .block_size(64 * 1024)
             .rolling_size(4)
             .rolling_factor(3)
-            .eager_eviction(false)
             .coalescing(false)
             .lookup(LookupKind::Linear)
             .aal(AalLayer::Runtime)
@@ -513,7 +501,6 @@ mod tests {
         assert_eq!(c.block_size, 64 * 1024);
         assert_eq!(c.rolling_size, Some(4));
         assert_eq!(c.rolling_factor, 3);
-        assert!(!c.eager_eviction);
         assert!(!c.coalescing);
         assert_eq!(c.lookup, LookupKind::Linear);
         assert_eq!(c.aal, AalLayer::Runtime);

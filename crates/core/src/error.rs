@@ -15,7 +15,7 @@ pub enum GmacError {
     NotShared(VAddr),
     /// The unified-address `mmap` trick failed because the host range is
     /// taken (the multi-accelerator case of paper §4.2); use
-    /// [`crate::Context::safe_alloc`] instead.
+    /// [`crate::Session::safe_alloc`] instead.
     AddressCollision(VAddr),
     /// Kernel parameters reference objects on different accelerators.
     MixedDevices,

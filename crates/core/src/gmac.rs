@@ -85,10 +85,10 @@ struct RouteMemo {
     dev: DeviceId,
 }
 
-/// A per-handle route memo ([`Session`], [`crate::Shared`] and the
-/// deprecated `Context` each own one): caches the last `addr → (object
-/// start, home device)` resolution so tight access loops skip the registry
-/// `RwLock` and its B-tree walk entirely.
+/// A per-handle route memo ([`Session`] and [`crate::Shared`] each own
+/// one): caches the last `addr → (object start, home device)` resolution
+/// so tight access loops skip the registry `RwLock` and its B-tree walk
+/// entirely.
 ///
 /// Implemented as a **seqlock** (version counter + plain atomic fields)
 /// rather than a mutex: the hit path is a handful of relaxed loads with no
@@ -890,13 +890,6 @@ impl Inner {
         let _g = self.gate();
         let (_, dev) = self.route(ptr.addr()).ok()?;
         self.shard(dev).mgr.find(ptr.addr()).cloned()
-    }
-
-    pub(crate) fn object_addrs(&self) -> Vec<VAddr> {
-        self.registry
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .addrs()
     }
 
     pub(crate) fn dirty_block_count(&self) -> usize {

@@ -10,8 +10,8 @@
 //! pointers straight to `read`/`write`, while the implementation stages
 //! through system memory (as the paper's implementation also does).
 //!
-//! The public surface lives on [`crate::Session`] (and the deprecated
-//! [`crate::Context`] shim); this module holds the shared implementation.
+//! The public surface lives on [`crate::Session`]; this module holds the
+//! implementation.
 
 use crate::error::GmacResult;
 use crate::ptr::SharedPtr;

@@ -47,9 +47,7 @@
 //! Kernels are launched with [`Session::call`] (`adsmCall`) and joined with
 //! [`Session::sync`] (`adsmSync`); shared objects are released to the
 //! accelerator at the call and acquired back by the CPU at the sync — the
-//! implicit release consistency of §3.3. The deprecated [`Context`] shim
-//! keeps the old single-threaded surface compiling (see the README
-//! migration guide).
+//! implicit release consistency of §3.3.
 //!
 //! ## Coherence protocols
 //!
@@ -62,9 +60,12 @@
 //!
 //! This crate contains *no* real GPU code: it runs on the simulated platform
 //! of the [`hetsim`] crate and detects CPU accesses with the software MMU of
-//! [`softmmu`] instead of `mprotect`/`SIGSEGV` (see `DESIGN.md` for the
-//! substitution argument). The programming model, state machines, transfer
-//! policies and cost accounting are faithful to the paper.
+//! [`softmmu`]. On the default mmap backing each block's protection is also
+//! applied with real `mprotect`, but no `SIGSEGV` handler exists: accesses
+//! are checked in software and faults are resolved on the accessing thread
+//! (see the README's "Memory backing" section). The programming model,
+//! state machines, transfer policies and cost accounting are faithful to
+//! the paper.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -72,7 +73,6 @@
 #![deny(clippy::missing_safety_doc)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod api;
 pub mod bulk;
 pub mod config;
 pub mod error;
@@ -98,8 +98,6 @@ pub mod testutil;
 pub mod typed;
 pub mod xfer;
 
-#[allow(deprecated)]
-pub use api::Context;
 pub use config::{AalLayer, EvictPolicy, GmacConfig, GmacCosts, LookupKind, Protocol};
 pub use error::{AdmissionReason, GmacError, GmacResult};
 pub use evict::EvictState;

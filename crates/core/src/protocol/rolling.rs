@@ -93,12 +93,7 @@ impl RollingUpdate {
             if obj.state(idx) != BlockState::Dirty || !obj.is_resident() {
                 continue;
             }
-            let mode = if rt.config().eager_eviction {
-                CopyMode::Async
-            } else {
-                CopyMode::Sync
-            };
-            let mut plan = rt.plan(Direction::HostToDevice, mode, Purpose::Eviction);
+            let mut plan = rt.plan(Direction::HostToDevice, CopyMode::Async, Purpose::Eviction);
             plan.request_block(obj, idx);
             let flushed = rt
                 .execute(&plan)
@@ -177,7 +172,7 @@ impl CoherenceProtocol for RollingUpdate {
         // Plan a flush of every remaining dirty block. Adjacent dirty blocks
         // coalesce into single DMA jobs, and the jobs are asynchronous: they
         // pipeline behind any in-flight eager evictions. The explicit join
-        // happens at the `adsmCall` boundary ([`crate::Context::call`]), not
+        // happens at the `adsmCall` boundary ([`crate::Session::call`]), not
         // here — callers driving the protocol directly can join through
         // [`Runtime::join_dma`] when they need the timeline drained.
         let mut plan = rt.plan(Direction::HostToDevice, CopyMode::Async, Purpose::Release);
@@ -400,24 +395,6 @@ mod tests {
             elapsed < hetsim::Nanos::from_micros(20),
             "eager eviction must not block the CPU (elapsed {elapsed})"
         );
-    }
-
-    #[test]
-    fn sync_eviction_blocks_when_eager_disabled() {
-        let cfg = GmacConfig::new()
-            .block_size(BS)
-            .rolling_size(1)
-            .eager_eviction(false);
-        let (mut rt, mut mgr, mut p) = rolling(cfg, &[BS * 4]);
-        let addr = mgr.addrs()[0];
-        p.prepare_write(&mut rt, &mut mgr, addr, 0, 8).unwrap();
-        let t_before = rt.platform().now();
-        p.prepare_write(&mut rt, &mut mgr, addr, BS, 8).unwrap();
-        assert!(
-            rt.platform().now().since(t_before) > hetsim::Nanos::from_micros(20),
-            "synchronous eviction blocks for the transfer"
-        );
-        assert_eq!(rt.counters().eager_evictions, 0);
     }
 
     #[test]

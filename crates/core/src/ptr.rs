@@ -9,7 +9,7 @@ use softmmu::VAddr;
 use std::fmt;
 
 /// A pointer into the shared (unified) address space returned by
-/// `Context::alloc`/`safe_alloc`.
+/// [`crate::Session::alloc`]/[`crate::Session::safe_alloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SharedPtr(VAddr);
 

@@ -132,11 +132,6 @@ impl Registry {
     pub(crate) fn len(&self) -> usize {
         self.claims.len()
     }
-
-    /// All claim start addresses in address order.
-    pub(crate) fn addrs(&self) -> Vec<VAddr> {
-        self.claims.keys().map(|&a| VAddr(a)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //! live objects, per-state block counts, traffic, fault counters, pending
 //! calls and the execution-time break-down — renderable as text. The
 //! `gmacProfile`-style observability a released runtime ships with.
-//! Available from [`crate::Gmac::report`], [`crate::Session::report`] and
-//! the deprecated `Context::report`.
+//! Available from [`crate::Gmac::report`] and [`crate::Session::report`].
 
 use crate::gmac::Inner;
 use crate::shard::lock_shard;
@@ -252,14 +251,6 @@ impl crate::Session {
     /// Takes a diagnostic snapshot of the shared runtime.
     pub fn report(&self) -> Report {
         self.state().report()
-    }
-}
-
-#[allow(deprecated)]
-impl crate::Context {
-    /// Takes a diagnostic snapshot of the context.
-    pub fn report(&self) -> Report {
-        self.state_ref().report()
     }
 }
 

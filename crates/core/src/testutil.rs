@@ -33,7 +33,7 @@ impl Kernel for NopKernel {
 }
 
 /// Builds a runtime + manager + protocol with one shared object per entry of
-/// `sizes` (bytes, page-multiples), mimicking what `Context::alloc` does.
+/// `sizes` (bytes, page-multiples), mimicking what `Session::alloc` does.
 pub fn harness(
     protocol: Protocol,
     sizes: &[u64],
@@ -56,7 +56,7 @@ pub fn harness_with_config(
     (rt, mgr, proto)
 }
 
-/// Allocates one shared object the way `Context::alloc` does (device memory,
+/// Allocates one shared object the way `Session::alloc` does (device memory,
 /// mirrored host mapping at the same address, registration, protocol hook).
 pub fn alloc_object(
     rt: &mut Runtime,

@@ -1,9 +1,8 @@
 //! The async-DMA ablation contract: `GmacConfig::async_dma(false)` runs the
 //! exact same transfer plans inline, so the two modes must be
-//! **byte-identical** in everything the simulation observes — output
-//! digests, virtual times, per-category ledgers, fault counts and transfer
-//! traffic — across the full workload suite and across randomly generated
-//! access sequences. Only the wall-clock bookkeeping counters
+//! **byte-identical** in everything the simulation observes — across
+//! randomly generated access sequences here, and across the workload suite
+//! in the `toggles` suite. Only the wall-clock bookkeeping counters
 //! (`dma_wait_ns`, `jobs_overlapped`) may differ.
 //!
 //! Also the engine's lifecycle hazards: freeing an object whose flush is
@@ -14,61 +13,6 @@
 use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol};
 use hetsim::{Category, DeviceId, LaunchDims, Platform};
 use proptest::prelude::*;
-use workloads::stencil3d::Stencil3d;
-use workloads::stream::StreamPipeline;
-use workloads::vecadd::VecAdd;
-use workloads::{parboil_suite_small, run_variant_with, RunResult, Variant, Workload};
-
-/// The nine standard workloads plus the streaming pipeline the engine was
-/// built for.
-fn ten_workloads() -> Vec<Box<dyn Workload>> {
-    let mut all = parboil_suite_small();
-    all.push(Box::new(VecAdd::small()));
-    all.push(Box::new(Stencil3d::small()));
-    all.push(Box::new(StreamPipeline::small()));
-    all
-}
-
-fn run(w: &dyn Workload, async_dma: bool) -> RunResult {
-    let cfg = GmacConfig::default().async_dma(async_dma);
-    run_variant_with(w, Variant::Gmac(Protocol::Rolling), cfg).expect("workload run")
-}
-
-#[test]
-fn async_modes_are_byte_identical_on_all_workloads() {
-    for w in ten_workloads() {
-        let on = run(w.as_ref(), true);
-        let off = run(w.as_ref(), false);
-        let name = w.name();
-        assert_eq!(on.digest, off.digest, "{name}: digest");
-        assert_eq!(on.elapsed, off.elapsed, "{name}: virtual time");
-        for cat in Category::ALL {
-            assert_eq!(
-                on.ledger.get(cat),
-                off.ledger.get(cat),
-                "{name}: ledger category {cat}"
-            );
-        }
-        let (onc, offc) = (on.counters.unwrap(), off.counters.unwrap());
-        assert_eq!(onc.faults_read, offc.faults_read, "{name}: read faults");
-        assert_eq!(onc.faults_write, offc.faults_write, "{name}: write faults");
-        assert_eq!(onc.blocks_fetched, offc.blocks_fetched, "{name}");
-        assert_eq!(onc.blocks_flushed, offc.blocks_flushed, "{name}");
-        assert_eq!(onc.bytes_fetched, offc.bytes_fetched, "{name}");
-        assert_eq!(onc.bytes_flushed, offc.bytes_flushed, "{name}");
-        assert_eq!(onc.eager_evictions, offc.eager_evictions, "{name}");
-        assert_eq!(on.transfers.h2d_bytes, off.transfers.h2d_bytes, "{name}");
-        assert_eq!(on.transfers.d2h_bytes, off.transfers.d2h_bytes, "{name}");
-        assert_eq!(
-            on.transfers.total_jobs(),
-            off.transfers.total_jobs(),
-            "{name}: job shape"
-        );
-        // Inline mode never touches the engine bookkeeping.
-        assert_eq!(offc.dma_wait_ns, 0, "{name}: no engine waits inline");
-        assert_eq!(offc.jobs_overlapped, 0, "{name}: no overlap inline");
-    }
-}
 
 #[test]
 fn streaming_evictions_land_inline_and_only_release_jobs_queue() {

@@ -2,9 +2,8 @@
 //! swaps the real reserve/commit + `mprotect` byte store for the
 //! instrumented table-walk frame arena, running the exact same coherence
 //! machinery — so the two backends must be **byte-identical** in everything
-//! the simulation observes: output digests, virtual times, per-category
-//! ledgers, fault counts and transfer traffic, across the full workload
-//! suite and a bulk-path sequence. Only wall-clock bookkeeping
+//! the simulation observes (checked across the workload suite and a
+//! bulk-path sequence by the `toggles` suite). Only wall-clock bookkeeping
 //! (`tlb_hits`/`tlb_misses`, `obj_lookups`/`obj_memo_hits`, engine wait
 //! counters) may differ — the whole point of the mmap backend is to make
 //! the hit path *cheaper on the host*, never *different in the simulation*.
@@ -14,148 +13,8 @@
 //! recycled allocations on both backends, and proof that typed reads on the
 //! mmap backend bypass the instrumented lookup path entirely.
 
-use gmac::{Gmac, GmacConfig, Param, Protocol, Session};
-use hetsim::{Category, DeviceId, LaunchDims, Platform};
-use workloads::stencil3d::Stencil3d;
-use workloads::stream::StreamPipeline;
-use workloads::vecadd::VecAdd;
-use workloads::{
-    parboil_suite_small, run_variant_with, RunResult, Variant, Workload, WorkloadResult,
-};
-
-/// The nine standard workloads plus the streaming pipeline, at the default
-/// configuration, and the bulk sequence at 4 KiB and 256 KiB blocks.
-fn inputs() -> Vec<(Box<dyn Workload>, GmacConfig)> {
-    let mut all: Vec<(Box<dyn Workload>, GmacConfig)> = parboil_suite_small()
-        .into_iter()
-        .map(|w| (w, GmacConfig::default()))
-        .collect();
-    all.push((Box::new(VecAdd::small()), GmacConfig::default()));
-    all.push((Box::new(Stencil3d::small()), GmacConfig::default()));
-    all.push((Box::new(StreamPipeline::small()), GmacConfig::default()));
-    for (name, block) in [("bulk-4k", 4096), ("bulk-256k", 256 * 1024)] {
-        let w = BulkSequence { name, block };
-        all.push((Box::new(w), GmacConfig::default().block_size(block)));
-    }
-    all
-}
-
-/// Every bulk path once, over objects of 16 blocks: `write_slice`, a call,
-/// `read_slice`, `memcpy_in`, `memcpy_out`, an overlapping and a disjoint
-/// same-object `memcpy`, `memset`, and a file write read back into a third
-/// object. On the arena backend each of these stages through a buffer; on
-/// the mmap backend most borrow the host view.
-struct BulkSequence {
-    name: &'static str,
-    block: u64,
-}
-
-const BULK_FILE: &str = "bulk_sequence";
-
-impl BulkSequence {
-    fn size(&self) -> usize {
-        16 * self.block as usize
-    }
-}
-
-impl Workload for BulkSequence {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn description(&self) -> &'static str {
-        "bulk paths over 16-block objects"
-    }
-
-    fn register_kernels(&self, platform: &mut Platform) {
-        platform.register_kernel(std::sync::Arc::new(gmac::testutil::NopKernel));
-    }
-
-    fn prepare(&self, platform: &mut Platform) -> WorkloadResult<()> {
-        platform.fs_mut().create(BULK_FILE, vec![0u8; self.size()]);
-        Ok(())
-    }
-
-    fn run_cuda(&self, _platform: &mut Platform) -> WorkloadResult<u64> {
-        unreachable!("only the GMAC variant runs")
-    }
-
-    fn run_gmac(&self, s: &Session) -> WorkloadResult<u64> {
-        let size = self.size();
-        let half = size as u64 / 2;
-        let words = size / 4;
-        let a = s.alloc_typed::<u32>(words)?;
-        let input: Vec<u32> = (0..words as u32)
-            .map(|i| i.wrapping_mul(0x9e37_79b9))
-            .collect();
-        a.write_slice(&input)?;
-        s.call("nop", LaunchDims::for_elements(1, 1), &[Param::from(&a)])?;
-        s.sync()?;
-        let back = a.read_slice()?;
-        let b = s.alloc(size as u64)?;
-        let blob: Vec<u8> = (0..size).map(|i| (i % 253) as u8).collect();
-        s.memcpy_in(b, &blob)?;
-        let mut out = vec![0u8; size];
-        s.memcpy_out(&mut out, b)?;
-        s.memcpy(b.byte_add(100), b, half)?;
-        s.memcpy(b.byte_add(half + 12), b.byte_add(7), half - 64)?;
-        s.memset(b.byte_add(self.block / 2), 0x5A, 3 * self.block)?;
-        s.write_shared_to_file(BULK_FILE, 0, b, size as u64)?;
-        let c = s.alloc(size as u64)?;
-        s.read_file_to_shared(BULK_FILE, 0, c, size as u64)?;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let words = back.iter().flat_map(|w| w.to_le_bytes());
-        let tail = s.load_slice::<u8>(c, size)?;
-        for byte in words.chain(out).chain(tail) {
-            digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(digest)
-    }
-}
-
-fn run(w: &dyn Workload, cfg: GmacConfig, mmap: bool) -> RunResult {
-    let cfg = cfg.mmap_backing(mmap);
-    run_variant_with(w, Variant::Gmac(Protocol::Rolling), cfg).expect("workload run")
-}
-
-#[test]
-fn backends_are_byte_identical_on_all_workloads() {
-    for (w, cfg) in inputs() {
-        let mmap = run(w.as_ref(), cfg.clone(), true);
-        let arena = run(w.as_ref(), cfg, false);
-        let name = w.name();
-        assert_eq!(mmap.digest, arena.digest, "{name}: digest");
-        assert_eq!(mmap.elapsed, arena.elapsed, "{name}: virtual time");
-        for cat in Category::ALL {
-            assert_eq!(
-                mmap.ledger.get(cat),
-                arena.ledger.get(cat),
-                "{name}: ledger category {cat}"
-            );
-        }
-        let (mc, ac) = (mmap.counters.unwrap(), arena.counters.unwrap());
-        assert_eq!(mc.faults_read, ac.faults_read, "{name}: read faults");
-        assert_eq!(mc.faults_write, ac.faults_write, "{name}: write faults");
-        assert_eq!(mc.blocks_fetched, ac.blocks_fetched, "{name}");
-        assert_eq!(mc.blocks_flushed, ac.blocks_flushed, "{name}");
-        assert_eq!(mc.bytes_fetched, ac.bytes_fetched, "{name}");
-        assert_eq!(mc.bytes_flushed, ac.bytes_flushed, "{name}");
-        assert_eq!(mc.eager_evictions, ac.eager_evictions, "{name}");
-        assert_eq!(
-            mmap.transfers.h2d_bytes, arena.transfers.h2d_bytes,
-            "{name}"
-        );
-        assert_eq!(
-            mmap.transfers.d2h_bytes, arena.transfers.d2h_bytes,
-            "{name}"
-        );
-        assert_eq!(
-            mmap.transfers.total_jobs(),
-            arena.transfers.total_jobs(),
-            "{name}: job shape"
-        );
-    }
-}
+use gmac::{Gmac, GmacConfig, Protocol};
+use hetsim::{Category, DeviceId, Platform};
 
 #[test]
 fn impossible_reservation_degrades_to_table_walk() {

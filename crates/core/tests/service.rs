@@ -209,12 +209,27 @@ fn queue_overflow_rejects_deterministically_and_readmits() {
         let c = svc.client(Priority::Normal);
         let g8 = gate();
         let g8w = Arc::clone(&g8);
+        let started = gate();
+        let started_w = Arc::clone(&started);
         let mut accepted = vec![c
             .submit(1, move |_s| {
+                open_gate(&started_w);
                 wait_gate(&g8w);
                 Ok(0)
             })
             .unwrap()];
+        // Park the placer before touching the fair queue: once the worker
+        // holds the wedged job, the device lane takes LANE_SLACK + 1 = 3
+        // jobs and the placer blocks holding a fourth. Submitting them one
+        // at a time, each taken off the queue before the next, leaves the
+        // placer provably unable to drain the queue below.
+        wait_gate(&started);
+        for i in 0..4u64 {
+            accepted.push(c.submit(1, move |_s| Ok(i)).unwrap());
+            while svc.queue_depth() > 0 {
+                std::thread::yield_now();
+            }
+        }
         // Fill until the first rejection; from that point every further
         // submission must ALSO reject with the same queued/capacity shape
         // (the backlog cannot shrink while the worker is wedged).
@@ -245,6 +260,7 @@ fn queue_overflow_rejects_deterministically_and_readmits() {
             }
         }
         first_rejection.expect("a 4-deep queue must reject within 64 submissions");
+        assert_eq!(accepted.len(), 1 + 4 + 4, "admitted exactly the depth");
         assert!(svc.stats().rejected() >= 1);
         assert_eq!(svc.queue_high_water(), 4);
 

@@ -4,7 +4,8 @@
 //! All experiment timing in this workspace is *virtual*: the paper measured
 //! wall-clock time with `gettimeofday()` on real hardware; we instead advance
 //! a deterministic clock by modelled costs, which makes every figure
-//! reproducible bit-for-bit (see `DESIGN.md` §2).
+//! reproducible bit-for-bit (the README's "Locking architecture" section
+//! covers how the clock stays exact under concurrency).
 
 use std::fmt;
 use std::iter::Sum;

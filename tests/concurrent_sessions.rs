@@ -1,7 +1,6 @@
-//! The tentpole acceptance test of the `Gmac`/`Session` redesign: two
-//! sessions on two accelerators each hold an **un-synced kernel call at the
-//! same time** (the old monolithic `Context` had one global pending slot, so
-//! only one kernel could be in flight across the whole platform), results
+//! The acceptance test of the `Gmac`/`Session` API: two sessions on two
+//! accelerators each hold an **un-synced kernel call at the same time**
+//! (pending calls are tracked per device, not in one global slot), results
 //! stay coherent with a sequential single-session run, and the `TimeLedger`
 //! still partitions every elapsed nanosecond.
 
