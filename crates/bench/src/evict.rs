@@ -18,10 +18,9 @@
 //! Used by the `evict` binary (which writes `results/BENCH_evict.json`).
 
 use gmac::{EvictPolicy, Gmac, GmacConfig, Param};
-use hetsim::kernel::{read_f32_slice, write_f32_slice};
 use hetsim::{
-    Args, DeviceMemory, GpuSpec, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
-    DEFAULT_DEVICE_BASE,
+    read_f32_slice, write_f32_slice, Args, DeviceMemory, GpuSpec, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult, DEFAULT_DEVICE_BASE,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -98,7 +98,7 @@ pub fn fmt_secs(s: f64) -> String {
 
 /// Formats a byte count with binary units (re-export of hetsim's helper).
 pub fn fmt_bytes(b: u64) -> String {
-    hetsim::stats::fmt_bytes(b)
+    hetsim::fmt_bytes(b)
 }
 
 #[cfg(test)]

@@ -234,7 +234,7 @@ pub struct GmacConfig {
     /// accesses the paper's consistency model (§3) forbids:
     /// CPU-writes-while-a-kernel-may-read, launches over another session's
     /// unsynced writes, and cross-session writes to call-referenced objects
-    /// (see [`crate::race`]). Violations surface as
+    /// (`race.rs`). Violations surface as
     /// [`crate::GmacError::RaceDetected`] (or, with
     /// [`GmacConfig::race_report`], as a non-fatal log in
     /// [`crate::Report`]). The detector makes **no virtual-time charges**:

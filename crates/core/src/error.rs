@@ -25,7 +25,7 @@ pub enum GmacError {
     /// from a *different* session; each accelerator runs at most one
     /// un-synced call at a time, so the owner must sync first.
     ///
-    /// With the [service layer](crate::service) on, this error never reaches
+    /// With the service layer ([`crate::Service`]) on, this error never reaches
     /// clients: contention becomes queueing (or an explicit
     /// [`GmacError::Admission`]) instead.
     DeviceBusy {
@@ -38,7 +38,7 @@ pub enum GmacError {
         retry_after: Nanos,
     },
     /// The service layer refused a job at submit time (see
-    /// [`crate::service::admission`]). Carries a machine-readable
+    /// `service/admission.rs`). Carries a machine-readable
     /// retry-after hint so clients can back off instead of hammering.
     Admission {
         /// Why the job was refused.
@@ -75,7 +75,7 @@ pub enum GmacError {
     /// The coherence race detector ([`crate::GmacConfig::race_check`], error
     /// mode) caught an access the paper's consistency model (§3) forbids.
     /// The offending operation *completed* (the write landed / the launch
-    /// was refused before charging, see [`crate::race`]); the error is the
+    /// was refused before charging, see `race.rs`); the error is the
     /// diagnostic. Sink mode ([`crate::GmacConfig::race_report`]) logs into
     /// [`crate::Report`] instead of raising this.
     RaceDetected {

@@ -25,7 +25,7 @@ use crate::config::EvictPolicy;
 /// Per-shard eviction bookkeeping: touch stamps, clock bits and the
 /// host-tier image ledger, indexed by manager slab slot.
 #[derive(Debug)]
-pub struct EvictState {
+pub(crate) struct EvictState {
     policy: EvictPolicy,
     /// Monotonic touch counter (wall-clock-only; never charged).
     tick: u64,
@@ -46,7 +46,7 @@ pub struct EvictState {
 
 impl EvictState {
     /// Creates empty bookkeeping for the given policy.
-    pub fn new(policy: EvictPolicy) -> Self {
+    pub(crate) fn new(policy: EvictPolicy) -> Self {
         EvictState {
             policy,
             tick: 0,
@@ -57,11 +57,6 @@ impl EvictState {
             spilled: Vec::new(),
             host_bytes: 0,
         }
-    }
-
-    /// Active policy.
-    pub fn policy(&self) -> EvictPolicy {
-        self.policy
     }
 
     fn ensure(&mut self, slot: usize) {
@@ -75,7 +70,7 @@ impl EvictState {
 
     /// Records an access to the object in `slot` — one `Vec` store plus a
     /// counter bump, cheap enough for the per-access fast path.
-    pub fn touch(&mut self, slot: usize) {
+    pub(crate) fn touch(&mut self, slot: usize) {
         self.ensure(slot);
         self.tick += 1;
         self.stamps[slot] = self.tick;
@@ -83,7 +78,7 @@ impl EvictState {
     }
 
     /// Clears a slot on object insert/remove (slab slots are reused).
-    pub fn forget(&mut self, slot: usize) {
+    pub(crate) fn forget(&mut self, slot: usize) {
         if slot < self.stamps.len() {
             self.stamps[slot] = 0;
             self.referenced[slot] = false;
@@ -100,7 +95,7 @@ impl EvictState {
     ///   after every unreferenced candidate (stamp-ordered within each
     ///   class so exhaustive eviction stays deterministic). The hand
     ///   advances past the first victim.
-    pub fn order(&mut self, candidates: &[usize]) -> Vec<usize> {
+    pub(crate) fn order(&mut self, candidates: &[usize]) -> Vec<usize> {
         candidates.iter().for_each(|&s| self.ensure(s));
         let mut order: Vec<usize> = candidates.to_vec();
         match self.policy {
@@ -125,13 +120,8 @@ impl EvictState {
 
     // ----- host-tier image ledger ------------------------------------------
 
-    /// Bytes of evicted images currently held in host memory.
-    pub fn host_bytes(&self) -> u64 {
-        self.host_bytes
-    }
-
     /// Records an object's image landing in host memory at eviction.
-    pub fn note_evicted(&mut self, slot: usize, bytes: u64) {
+    pub(crate) fn note_evicted(&mut self, slot: usize, bytes: u64) {
         self.ensure(slot);
         debug_assert_eq!(self.host_images[slot], 0, "double eviction");
         self.host_images[slot] = bytes;
@@ -141,7 +131,7 @@ impl EvictState {
     /// Releases a slot's evicted image (re-fetch or free). Returns `true`
     /// when the image had been spilled to disk — the caller then prices the
     /// read-back (or removes the spill file on free).
-    pub fn release_image(&mut self, slot: usize) -> bool {
+    pub(crate) fn release_image(&mut self, slot: usize) -> bool {
         self.ensure(slot);
         let was_spilled = self.spilled[slot];
         if !was_spilled {
@@ -152,16 +142,11 @@ impl EvictState {
         was_spilled
     }
 
-    /// True when `slot`'s evicted image currently lives on the disk tier.
-    pub fn is_spilled(&self, slot: usize) -> bool {
-        self.spilled.get(slot).copied().unwrap_or(false)
-    }
-
     /// Slots whose images must spill to disk to bring the host ledger back
     /// under `budget`, coldest first. Marks them spilled and moves their
     /// bytes out of the host ledger; the caller performs (and prices) the
     /// write-behind file writes.
-    pub fn overflow(&mut self, budget: u64) -> Vec<(usize, u64)> {
+    pub(crate) fn overflow(&mut self, budget: u64) -> Vec<(usize, u64)> {
         let mut victims = Vec::new();
         if self.host_bytes <= budget {
             return victims;
@@ -233,19 +218,19 @@ mod tests {
         e.touch(1);
         e.note_evicted(0, 4096);
         e.note_evicted(1, 8192);
-        assert_eq!(e.host_bytes(), 12288);
+        assert_eq!(e.host_bytes, 12288);
         // Over an 8 KiB budget: the coldest image (slot 0) spills first,
         // and spilling continues until the ledger fits.
         let spilled = e.overflow(8192);
         assert_eq!(spilled, vec![(0, 4096)]);
-        assert!(e.is_spilled(0));
-        assert_eq!(e.host_bytes(), 8192);
+        assert!(e.spilled[0]);
+        assert_eq!(e.host_bytes, 8192);
         // Releasing a spilled image reports it so the caller prices the
         // disk read-back; releasing a host image just shrinks the ledger.
         assert!(e.release_image(0));
         assert!(!e.release_image(1));
-        assert_eq!(e.host_bytes(), 0);
-        assert!(!e.is_spilled(0));
+        assert_eq!(e.host_bytes, 0);
+        assert!(!e.spilled[0]);
     }
 
     #[test]
@@ -253,6 +238,6 @@ mod tests {
         let mut e = EvictState::new(EvictPolicy::Clock);
         e.note_evicted(2, 4096);
         assert!(e.overflow(4096).is_empty());
-        assert_eq!(e.host_bytes(), 4096);
+        assert_eq!(e.host_bytes, 4096);
     }
 }

@@ -851,7 +851,7 @@ impl Inner {
         }
     }
 
-    /// Race-detector counters ([`RaceStats::default`] with the detector
+    /// Race-detector counters ([`crate::RaceStats::default`] with the detector
     /// off).
     pub(crate) fn race_stats(&self) -> crate::race::RaceStats {
         self.race.as_ref().map(|r| r.stats()).unwrap_or_default()
@@ -886,10 +886,13 @@ impl Inner {
             .len()
     }
 
-    pub(crate) fn object_at(&self, ptr: SharedPtr) -> Option<crate::object::SharedObject> {
+    pub(crate) fn object_at(&self, ptr: SharedPtr) -> Option<crate::report::ObjectReport> {
         let _g = self.gate();
         let (_, dev) = self.route(ptr.addr()).ok()?;
-        self.shard(dev).mgr.find(ptr.addr()).cloned()
+        self.shard(dev)
+            .mgr
+            .find(ptr.addr())
+            .map(crate::report::ObjectReport::of)
     }
 
     pub(crate) fn dirty_block_count(&self) -> usize {
@@ -959,7 +962,7 @@ impl Inner {
 ///
 /// `Gmac` is the owner; threads interact through per-thread
 /// [`Session`] handles. Interior state is **sharded per accelerator** (see
-/// the [module docs](self)): sessions driving different devices take
+/// the `gmac.rs` module docs): sessions driving different devices take
 /// independent locks and overlap in wall-clock time, while
 /// [`GmacConfig::sharding`]`(false)` restores the old single-global-lock
 /// behaviour for ablation. `Gmac` is `Send + Sync` and cloning it is cheap

@@ -175,8 +175,7 @@ mod tests {
         s.store_slice::<u8>(p, &vec![9u8; 128 * 1024]).unwrap();
         // Pretend a kernel ran: release everything (no kernel registered, so
         // drive the protocol directly through a store-free path).
-        s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, hetsim::DeviceId(0), None))
-            .unwrap();
+        s.release_to_device().unwrap();
         let before = s.transfers().d2h_bytes;
         s.write_shared_to_file("dump.bin", 0, p, 128 * 1024)
             .unwrap();

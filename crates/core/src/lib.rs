@@ -14,7 +14,7 @@
 //!
 //! The runtime is split in two: a process-wide [`Gmac`] (platform + software
 //! MMU + object registry + coherence machinery, **sharded per accelerator**
-//! — see [`shard`]) and cheap per-thread [`Session`] handles that carry the
+//! — see `shard.rs`) and cheap per-thread [`Session`] handles that carry the
 //! Table 1 calls. Kernel calls, protocol state and MMU regions are owned per
 //! device shard, so sessions driving different devices each keep a call in
 //! flight *and* overlap in wall-clock time; [`GmacConfig::sharding`] turns
@@ -52,7 +52,7 @@
 //! ## Coherence protocols
 //!
 //! Three host-driven protocols are selectable via [`GmacConfig`]
-//! (see [`protocol`]): [`Protocol::Batch`], [`Protocol::Lazy`] and
+//! (see `protocol/`): [`Protocol::Batch`], [`Protocol::Lazy`] and
 //! [`Protocol::Rolling`] — each a refinement of the previous, exactly as the
 //! paper presents them.
 //!
@@ -69,51 +69,54 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::missing_safety_doc)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod bulk;
-pub mod config;
-pub mod error;
-pub mod evict;
-pub(crate) mod fasttime;
-pub(crate) mod fastview;
-pub mod gmac;
-pub mod io;
+mod bulk;
+mod config;
+mod error;
+mod evict;
+mod fasttime;
+mod fastview;
+mod gmac;
+mod io;
+// Public only for the benchmark's probes (`benchmark/API_SURFACE.md`).
+#[doc(hidden)]
 pub mod manager;
-pub mod object;
-pub mod protocol;
-pub mod ptr;
-pub mod race;
-pub(crate) mod registry;
-pub mod report;
-pub mod runtime;
-pub mod sched;
-pub mod service;
-pub mod session;
-pub mod shard;
-pub mod state;
+mod object;
+mod protocol;
+mod ptr;
+mod race;
+mod registry;
+mod report;
+mod runtime;
+mod sched;
+mod service;
+mod session;
+mod shard;
+mod state;
+// `NopKernel` for the integration tests and the bench crate.
+#[doc(hidden)]
 pub mod testutil;
-pub mod typed;
-pub mod xfer;
+mod typed;
+mod xfer;
 
 pub use config::{AalLayer, EvictPolicy, GmacConfig, GmacCosts, LookupKind, Protocol};
 pub use error::{AdmissionReason, GmacError, GmacResult};
-pub use evict::EvictState;
 pub use gmac::Gmac;
 pub use object::{ObjectId, SharedObject};
 pub use ptr::{Param, SharedPtr};
 pub use race::{RaceKind, RaceStats, RaceViolation};
 pub use report::{EvictionReport, ObjectReport, RaceReport, Report};
 pub use runtime::Counters;
-pub use sched::{SchedPolicy, Scheduler};
+pub use sched::SchedPolicy;
 pub use service::{
-    ClassSnapshot, JobId, LoadBoard, Priority, Service, ServiceClient, ServiceSnapshot,
-    ServiceStats, Ticket,
+    ClassSnapshot, JobFn, JobId, LoadBoard, Priority, Service, ServiceClient, ServiceSnapshot,
+    Ticket,
 };
 pub use session::{Session, SessionId};
-pub use shard::DeviceShard;
 pub use state::BlockState;
 pub use typed::Shared;
-pub use xfer::{DmaEngine, DmaJob, DmaQueue, EngineStats, Purpose, TransferPlan};
+pub use xfer::{Purpose, TransferPlan};

@@ -8,18 +8,18 @@
 //! [`crate::config::LookupKind`].
 //!
 //! Since the shard redesign the runtime keeps **one manager per device
-//! shard** ([`crate::shard::DeviceShard`]), holding only the objects homed
+//! shard** (`DeviceShard`), holding only the objects homed
 //! on that accelerator; cross-device routing happens in the runtime's
 //! read-mostly registry before a shard (and its manager) is locked. The
-//! fault-handler lookup-cost model ([`Manager::lookup_steps`]) therefore
+//! fault-handler lookup-cost model (`Manager::lookup_steps`) therefore
 //! walks the per-device tree — faults on one accelerator's objects pay for
 //! that device's population, not the whole platform's.
 //!
 //! Objects live in a **slab** (`Vec<Option<SharedObject>>`) indexed by a
 //! stable slot id; the tree/linear structures only map start addresses to
 //! slots. [`Manager::locate`] performs the O(log n) search once, and
-//! [`Manager::by_slot`] re-reaches the object in O(1) — the access-fast-path
-//! memo in [`crate::shard::DeviceShard`] caches `(range, slot)` so tight
+//! `Manager::by_slot` re-reaches the object in O(1) — the access-fast-path
+//! memo in `DeviceShard` caches `(range, slot)` so tight
 //! loops skip the search entirely. Slots are reused after removal, so a memo
 //! must be invalidated whenever an object is inserted or removed.
 
@@ -119,7 +119,7 @@ impl Manager {
     }
 
     /// Removes the object containing `addr`, returning it.
-    pub fn remove(&mut self, addr: VAddr) -> Option<SharedObject> {
+    pub(crate) fn remove(&mut self, addr: VAddr) -> Option<SharedObject> {
         let slot = self.locate(addr)?;
         let start = self.slots[slot].as_ref()?.addr().0;
         match self.kind {
@@ -158,44 +158,33 @@ impl Manager {
     }
 
     /// Object in slab slot `slot`, if live. O(1).
-    pub fn by_slot(&self, slot: usize) -> Option<&SharedObject> {
+    pub(crate) fn by_slot(&self, slot: usize) -> Option<&SharedObject> {
         self.slots.get(slot)?.as_ref()
     }
 
     /// Object in slab slot `slot`, mutable. O(1).
-    pub fn by_slot_mut(&mut self, slot: usize) -> Option<&mut SharedObject> {
+    pub(crate) fn by_slot_mut(&mut self, slot: usize) -> Option<&mut SharedObject> {
         self.slots.get_mut(slot)?.as_mut()
     }
 
     /// The object containing `addr`, if any.
-    pub fn find(&self, addr: VAddr) -> Option<&SharedObject> {
+    pub(crate) fn find(&self, addr: VAddr) -> Option<&SharedObject> {
         let slot = self.locate(addr)?;
         self.slots[slot].as_ref()
     }
 
     /// The object containing `addr`, mutable.
-    pub fn find_mut(&mut self, addr: VAddr) -> Option<&mut SharedObject> {
+    pub(crate) fn find_mut(&mut self, addr: VAddr) -> Option<&mut SharedObject> {
         let slot = self.locate(addr)?;
         self.slots[slot].as_mut()
     }
 
     /// Number of live objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self.kind {
             LookupKind::Tree => self.tree.len(),
             LookupKind::Linear => self.linear.len(),
         }
-    }
-
-    /// True when no objects are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of blocks across all objects (drives the fault-handler
-    /// lookup-cost model).
-    pub fn total_blocks(&self) -> usize {
-        self.total_blocks
     }
 
     /// Number of steps the configured lookup structure needs to locate a
@@ -205,7 +194,7 @@ impl Manager {
     /// virtual time on every fault-equivalent, whether or not the wall-clock
     /// search was skipped by the shard memo — the fast path changes how fast
     /// the simulator runs, never what it simulates.
-    pub fn lookup_steps(&self) -> u64 {
+    pub(crate) fn lookup_steps(&self) -> u64 {
         let n = self.total_blocks.max(1) as u64;
         match self.kind {
             // Balanced-tree walk: ceil(log2(n + 1)).
@@ -216,7 +205,7 @@ impl Manager {
     }
 
     /// Iterates over all objects (address order for the tree variant).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = &SharedObject> + '_> {
+    pub(crate) fn iter(&self) -> Box<dyn Iterator<Item = &SharedObject> + '_> {
         match self.kind {
             LookupKind::Tree => Box::new(
                 self.tree
@@ -236,7 +225,7 @@ impl Manager {
     /// loops, iterate this snapshot and go through [`Self::find_mut`] — a
     /// slab-backed `iter_mut` would yield slot order, silently diverging
     /// from [`Self::iter`]'s address order.
-    pub fn addrs(&self) -> Vec<VAddr> {
+    pub(crate) fn addrs(&self) -> Vec<VAddr> {
         self.iter().map(|o| o.addr()).collect()
     }
 }
@@ -290,8 +279,8 @@ mod tests {
             m.insert(obj(1, 0x10_0000, 8192));
             let o = m.remove(VAddr(0x10_0100)).unwrap();
             assert_eq!(o.id(), ObjectId(1));
-            assert!(m.is_empty());
-            assert_eq!(m.total_blocks(), 0);
+            assert_eq!(m.len(), 0);
+            assert_eq!(m.total_blocks, 0);
             assert!(m.remove(VAddr(0x10_0000)).is_none());
         }
     }
@@ -321,9 +310,9 @@ mod tests {
         for mut m in both() {
             m.insert(obj(1, 0x10_0000, 16384)); // 4 blocks of 4 KiB
             m.insert(obj(2, 0x20_0000, 4096)); // 1 block
-            assert_eq!(m.total_blocks(), 5);
+            assert_eq!(m.total_blocks, 5);
             m.remove(VAddr(0x10_0000));
-            assert_eq!(m.total_blocks(), 1);
+            assert_eq!(m.total_blocks, 1);
         }
     }
 

@@ -31,7 +31,7 @@ pub struct ObjectId(pub u64);
 /// exactly as the paper specifies). Returned **by value** — geometry is
 /// derived from the block index, only the state is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block {
+pub(crate) struct Block {
     /// Byte offset of the block within the object.
     pub offset: u64,
     /// Block length in bytes.
@@ -43,7 +43,7 @@ pub struct Block {
 /// A maximal run of adjacent blocks sharing one coherence state, as yielded
 /// by [`SharedObject::runs_in`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateRun {
+pub(crate) struct StateRun {
     /// The state every block of the run is in.
     pub state: BlockState,
     /// Block indices of the run.
@@ -57,19 +57,14 @@ pub struct StateRun {
 
 impl StateRun {
     /// Run length in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.end - self.start
-    }
-
-    /// True for degenerate zero-byte runs (never yielded by `runs_in`).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 }
 
 /// Iterator over maximal equal-state runs (see [`SharedObject::runs_in`]).
 #[derive(Debug)]
-pub struct StateRuns<'a> {
+pub(crate) struct StateRuns<'a> {
     states: &'a [BlockState],
     block_size: u64,
     size: u64,
@@ -167,7 +162,7 @@ impl SharedObject {
     /// True while the object owns a device window (see the `resident`
     /// field). Non-resident objects are host-authoritative: every block is
     /// Dirty and the device address is meaningless until re-fetch.
-    pub fn is_resident(&self) -> bool {
+    pub(crate) fn is_resident(&self) -> bool {
         self.resident
     }
 
@@ -201,53 +196,53 @@ impl SharedObject {
     }
 
     /// Object identifier.
-    pub fn id(&self) -> ObjectId {
+    pub(crate) fn id(&self) -> ObjectId {
         self.id
     }
 
     /// Start of the object in the unified address space.
-    pub fn addr(&self) -> VAddr {
+    pub(crate) fn addr(&self) -> VAddr {
         self.addr
     }
 
     /// Object size in bytes.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.size
     }
 
     /// One past the last byte.
-    pub fn end(&self) -> VAddr {
+    pub(crate) fn end(&self) -> VAddr {
         self.addr + self.size
     }
 
     /// The accelerator hosting the object.
-    pub fn device(&self) -> DeviceId {
+    pub(crate) fn device(&self) -> DeviceId {
         self.dev
     }
 
     /// Device address of the object (equals [`Self::addr`] for unified
     /// allocations; differs for `safe_alloc`).
-    pub fn dev_addr(&self) -> DevAddr {
+    pub(crate) fn dev_addr(&self) -> DevAddr {
         self.dev_addr
     }
 
     /// True when host and device use the same numeric address.
-    pub fn is_unified(&self) -> bool {
+    pub(crate) fn is_unified(&self) -> bool {
         self.addr.0 == self.dev_addr.0
     }
 
     /// The softmmu region mirroring the object in system memory.
-    pub fn region(&self) -> RegionId {
+    pub(crate) fn region(&self) -> RegionId {
         self.region
     }
 
     /// Protocol block granularity for this object.
-    pub fn block_size(&self) -> u64 {
+    pub(crate) fn block_size(&self) -> u64 {
         self.block_size
     }
 
     /// True when `addr` falls inside the object.
-    pub fn contains(&self, addr: VAddr) -> bool {
+    pub(crate) fn contains(&self, addr: VAddr) -> bool {
         addr >= self.addr && addr < self.end()
     }
 
@@ -256,14 +251,14 @@ impl SharedObject {
     ///
     /// # Panics
     /// Panics in debug builds if `addr` is outside the object.
-    pub fn translate(&self, addr: VAddr) -> DevAddr {
+    pub(crate) fn translate(&self, addr: VAddr) -> DevAddr {
         debug_assert!(self.contains(addr), "translate of foreign address");
         debug_assert!(self.resident, "translate of evicted object");
         self.dev_addr.add(addr - self.addr)
     }
 
     /// Number of blocks.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.states.len()
     }
 
@@ -272,7 +267,7 @@ impl SharedObject {
     ///
     /// # Panics
     /// Panics if `idx` is out of bounds.
-    pub fn block(&self, idx: usize) -> Block {
+    pub(crate) fn block(&self, idx: usize) -> Block {
         let offset = idx as u64 * self.block_size;
         Block {
             offset,
@@ -285,7 +280,7 @@ impl SharedObject {
     ///
     /// # Panics
     /// Panics if `idx` is out of bounds.
-    pub fn state(&self, idx: usize) -> BlockState {
+    pub(crate) fn state(&self, idx: usize) -> BlockState {
         self.states[idx]
     }
 
@@ -296,7 +291,7 @@ impl SharedObject {
     ///
     /// # Panics
     /// Panics if `idx` is out of bounds.
-    pub fn set_state(&mut self, idx: usize, state: BlockState) {
+    pub(crate) fn set_state(&mut self, idx: usize, state: BlockState) {
         self.states[idx] = state;
         if let Some(fast) = &self.fast {
             fast.publish(idx, state);
@@ -305,21 +300,12 @@ impl SharedObject {
 
     /// The compact per-block state vector (cheap to snapshot: one byte per
     /// block).
-    pub fn states(&self) -> &[BlockState] {
+    pub(crate) fn states(&self) -> &[BlockState] {
         &self.states
     }
 
-    /// Index of the block containing byte `offset`.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `offset` is out of bounds.
-    pub fn block_of(&self, offset: u64) -> usize {
-        debug_assert!(offset < self.size);
-        (offset / self.block_size) as usize
-    }
-
     /// Indices of the blocks overlapping `[offset, offset + len)`.
-    pub fn blocks_overlapping(&self, offset: u64, len: u64) -> Range<usize> {
+    pub(crate) fn blocks_overlapping(&self, offset: u64, len: u64) -> Range<usize> {
         if len == 0 || offset >= self.size {
             return 0..0;
         }
@@ -333,7 +319,7 @@ impl SharedObject {
     /// `[offset, offset + len)`. Flush/fetch paths use this to issue one
     /// request per contiguous run instead of one per block; run byte bounds
     /// are block-aligned (callers clamp to their access window).
-    pub fn runs_in(&self, offset: u64, len: u64) -> StateRuns<'_> {
+    pub(crate) fn runs_in(&self, offset: u64, len: u64) -> StateRuns<'_> {
         let range = self.blocks_overlapping(offset, len);
         StateRuns {
             states: &self.states,
@@ -344,19 +330,9 @@ impl SharedObject {
         }
     }
 
-    /// Iterator over all blocks (values; see [`Self::block`]).
-    pub fn blocks(&self) -> impl Iterator<Item = Block> + '_ {
-        (0..self.block_count()).map(|i| self.block(i))
-    }
-
     /// Number of blocks currently in `state`.
-    pub fn count_in_state(&self, state: BlockState) -> usize {
+    pub(crate) fn count_in_state(&self, state: BlockState) -> usize {
         self.states.iter().filter(|&&s| s == state).count()
-    }
-
-    /// Unified-space address of block `idx`.
-    pub fn block_addr(&self, idx: usize) -> VAddr {
-        self.addr + idx as u64 * self.block_size
     }
 }
 
@@ -388,7 +364,7 @@ mod tests {
             10_000 - 8192,
             "tail block is shorter (paper §4.3)"
         );
-        let total: u64 = o.blocks().map(|b| b.len).sum();
+        let total: u64 = (0..o.block_count()).map(|i| o.block(i).len).sum();
         assert_eq!(total, o.size());
     }
 
@@ -402,9 +378,8 @@ mod tests {
     #[test]
     fn block_of_and_overlap() {
         let o = obj(16384, 4096);
-        assert_eq!(o.block_of(0), 0);
-        assert_eq!(o.block_of(4095), 0);
-        assert_eq!(o.block_of(4096), 1);
+        assert_eq!(o.blocks_overlapping(4095, 1), 0..1);
+        assert_eq!(o.blocks_overlapping(4096, 1), 1..2);
         assert_eq!(o.blocks_overlapping(0, 1), 0..1);
         assert_eq!(o.blocks_overlapping(4000, 200), 0..2);
         assert_eq!(o.blocks_overlapping(0, 16384), 0..4);
@@ -451,7 +426,7 @@ mod tests {
         o.set_state(1, BlockState::Dirty);
         assert_eq!(o.count_in_state(BlockState::Dirty), 1);
         assert_eq!(o.count_in_state(BlockState::ReadOnly), 2);
-        assert_eq!(o.block_addr(1), VAddr(0x10_1000));
+        assert_eq!(o.addr() + o.block(1).offset, VAddr(0x10_1000));
         assert_eq!(o.state(1), BlockState::Dirty);
         assert_eq!(o.states()[1], BlockState::Dirty);
     }
@@ -473,7 +448,6 @@ mod tests {
         assert_eq!(runs[1].state, BlockState::Dirty);
         assert_eq!(runs[1].blocks, 2..5);
         assert_eq!(runs[1].len(), 3 * 4096);
-        assert!(!runs[1].is_empty());
         assert_eq!(runs[2].blocks, 5..6);
         assert_eq!(runs[3].state, BlockState::Invalid);
         assert_eq!(runs[3].blocks, 6..8);

@@ -23,7 +23,7 @@ use softmmu::VAddr;
 
 /// The batch-update protocol.
 #[derive(Debug, Default)]
-pub struct BatchUpdate {
+pub(crate) struct BatchUpdate {
     /// Annotation from the last release; bounds the acquire-side fetch.
     /// One protocol instance exists **per device shard** (see
     /// [`crate::shard::DeviceShard`]), so a single slot replaces the old
@@ -36,7 +36,7 @@ pub struct BatchUpdate {
 
 impl BatchUpdate {
     /// Creates the protocol.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -186,9 +186,9 @@ mod tests {
     #[test]
     fn release_transfers_everything_even_clean_objects() {
         let (mut rt, mut mgr, mut p) = harness(Protocol::Batch, &[8192, 4096]);
-        let before = rt.platform().transfers().h2d_bytes;
+        let before = rt.platform.transfers().h2d_bytes;
         p.release(&mut rt, &mut mgr, DeviceId(0), None).unwrap();
-        let moved = rt.platform().transfers().h2d_bytes - before;
+        let moved = rt.platform.transfers().h2d_bytes - before;
         assert_eq!(moved, 8192 + 4096, "all objects move, modified or not");
         for obj in mgr.iter() {
             assert_eq!(obj.state(0), BlockState::Invalid);
@@ -199,9 +199,9 @@ mod tests {
     fn acquire_fetches_everything_back_as_dirty() {
         let (mut rt, mut mgr, mut p) = harness(Protocol::Batch, &[8192]);
         p.release(&mut rt, &mut mgr, DeviceId(0), None).unwrap();
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         p.acquire(&mut rt, &mut mgr, DeviceId(0)).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes - before, 8192);
+        assert_eq!(rt.platform.transfers().d2h_bytes - before, 8192);
         for obj in mgr.iter() {
             assert_eq!(obj.state(0), BlockState::Dirty);
         }
@@ -214,9 +214,9 @@ mod tests {
         // Only the first object is written by the kernel.
         p.release(&mut rt, &mut mgr, DeviceId(0), Some(&addrs[..1]))
             .unwrap();
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         p.acquire(&mut rt, &mut mgr, DeviceId(0)).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes - before, 8192);
+        assert_eq!(rt.platform.transfers().d2h_bytes - before, 8192);
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
         // Device received the data.
         let obj = mgr.find(addr).unwrap().clone();
         let dev_bytes = rt
-            .platform()
+            .platform
             .device(DeviceId(0))
             .unwrap()
             .mem()
@@ -241,7 +241,7 @@ mod tests {
         assert!(dev_bytes.iter().all(|&b| b == 0xAB));
         assert_eq!(rt.counters().faults(), 0);
         assert_eq!(
-            rt.vm().faults_observed(),
+            rt.vm.faults_observed(),
             0,
             "batch never triggers protection faults"
         );

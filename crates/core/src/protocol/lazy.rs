@@ -25,13 +25,13 @@ use softmmu::VAddr;
 
 /// The lazy-update protocol.
 #[derive(Debug, Default)]
-pub struct LazyUpdate {
+pub(crate) struct LazyUpdate {
     _priv: (),
 }
 
 impl LazyUpdate {
     /// Creates the protocol.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -175,10 +175,10 @@ mod tests {
         let addrs = mgr.addrs();
         // Dirty the first object only.
         p.prepare_write(&mut rt, &mut mgr, addrs[0], 0, 1).unwrap();
-        let before = rt.platform().transfers().h2d_bytes;
+        let before = rt.platform.transfers().h2d_bytes;
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
         assert_eq!(
-            rt.platform().transfers().h2d_bytes - before,
+            rt.platform.transfers().h2d_bytes - before,
             8192,
             "clean object not transferred (first benefit of lazy-update)"
         );
@@ -191,9 +191,9 @@ mod tests {
     fn acquire_transfers_nothing() {
         let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192]);
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         p.acquire(&mut rt, &mut mgr, DEV).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes, before);
+        assert_eq!(rt.platform.transfers().d2h_bytes, before);
     }
 
     #[test]
@@ -201,15 +201,15 @@ mod tests {
         let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[16384]);
         let addr = mgr.addrs()[0];
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         // CPU touches one byte: lazy fetches the *entire* object.
         p.prepare_read(&mut rt, &mut mgr, addr, 5, 1).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes - before, 16384);
+        assert_eq!(rt.platform.transfers().d2h_bytes - before, 16384);
         assert_eq!(mgr.find(addr).unwrap().state(0), BlockState::ReadOnly);
         // Subsequent reads are free.
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         p.prepare_read(&mut rt, &mut mgr, addr, 6000, 64).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes, before);
+        assert_eq!(rt.platform.transfers().d2h_bytes, before);
     }
 
     #[test]
@@ -228,10 +228,10 @@ mod tests {
     fn write_to_read_only_dirties_without_transfer() {
         let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192]);
         let addr = mgr.addrs()[0];
-        let before = rt.platform().transfers().total_bytes();
+        let before = rt.platform.transfers().total_bytes();
         p.prepare_write(&mut rt, &mut mgr, addr, 100, 4).unwrap();
         assert_eq!(
-            rt.platform().transfers().total_bytes(),
+            rt.platform.transfers().total_bytes(),
             before,
             "no data motion"
         );
@@ -250,9 +250,9 @@ mod tests {
         // Object 1 was dirty, got flushed, and stays CPU-readable.
         assert_eq!(mgr.find(addrs[1]).unwrap().state(0), BlockState::ReadOnly);
         // Reading it costs no transfer.
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         p.prepare_read(&mut rt, &mut mgr, addrs[1], 0, 64).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes, before);
+        assert_eq!(rt.platform.transfers().d2h_bytes, before);
     }
 
     #[test]

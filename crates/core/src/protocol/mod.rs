@@ -13,9 +13,9 @@
 //! | [`lazy`]    | object | page faults | dirty objects at call, faulted objects after return |
 //! | [`rolling`] | block  | page faults | dirty blocks, eagerly evicted as the CPU writes |
 
-pub mod batch;
-pub mod lazy;
-pub mod rolling;
+pub(crate) mod batch;
+pub(crate) mod lazy;
+pub(crate) mod rolling;
 
 use crate::config::{GmacConfig, Protocol};
 use crate::error::GmacResult;
@@ -48,7 +48,7 @@ use softmmu::VAddr;
 /// shard's device; standalone harnesses driving one instance across several
 /// devices must partition their managers the same way. Protocols are `Send`
 /// because they live behind their shard's mutex.
-pub trait CoherenceProtocol: std::fmt::Debug + Send {
+pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
     /// Which protocol this is.
     fn kind(&self) -> Protocol;
 
@@ -230,7 +230,7 @@ pub(crate) fn memset_device_side(
 }
 
 /// Instantiates the protocol selected by `kind`.
-pub fn make(kind: Protocol) -> Box<dyn CoherenceProtocol> {
+pub(crate) fn make(kind: Protocol) -> Box<dyn CoherenceProtocol> {
     match kind {
         Protocol::Batch => Box::new(batch::BatchUpdate::new()),
         Protocol::Lazy => Box::new(lazy::LazyUpdate::new()),

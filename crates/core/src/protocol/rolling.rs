@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 
 /// The rolling-update protocol.
 #[derive(Debug)]
-pub struct RollingUpdate {
+pub(crate) struct RollingUpdate {
     /// Dirty blocks in age order: (object start, block index). Entries whose
     /// block is no longer dirty are skipped lazily on pop.
     fifo: VecDeque<(VAddr, usize)>,
@@ -46,7 +46,7 @@ impl Default for RollingUpdate {
 
 impl RollingUpdate {
     /// Creates the protocol with an empty dirty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RollingUpdate {
             fifo: VecDeque::new(),
             dirty_count: 0,
@@ -55,7 +55,7 @@ impl RollingUpdate {
     }
 
     /// Current rolling size.
-    pub fn rolling_size(&self) -> usize {
+    pub(crate) fn rolling_size(&self) -> usize {
         self.limit.max(1)
     }
 
@@ -386,9 +386,9 @@ mod tests {
         let (mut rt, mut mgr, mut p) = rolling(cfg, &[BS * 4]);
         let addr = mgr.addrs()[0];
         p.prepare_write(&mut rt, &mut mgr, addr, 0, 8).unwrap();
-        let t_before = rt.platform().now();
+        let t_before = rt.platform.now();
         p.prepare_write(&mut rt, &mut mgr, addr, BS, 8).unwrap(); // evicts block 0
-        let elapsed = rt.platform().now().since(t_before);
+        let elapsed = rt.platform.now().since(t_before);
         // The eviction DMA does not block the CPU (only fault bookkeeping
         // time passes, far below the ~58us a 256 KiB PCIe transfer takes).
         assert!(
@@ -404,12 +404,12 @@ mod tests {
         let addr = mgr.addrs()[0];
         p.prepare_write(&mut rt, &mut mgr, addr, 0, 8).unwrap();
         p.prepare_write(&mut rt, &mut mgr, addr, 2 * BS, 8).unwrap();
-        let before = rt.platform().transfers().h2d_bytes;
+        let before = rt.platform.transfers().h2d_bytes;
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
         // Exactly the two dirty blocks moved.
-        assert_eq!(rt.platform().transfers().h2d_bytes - before, 2 * BS);
+        assert_eq!(rt.platform.transfers().h2d_bytes - before, 2 * BS);
         let obj = mgr.find(addr).unwrap();
-        assert!(obj.blocks().all(|b| b.state == BlockState::Invalid));
+        assert!(obj.states().iter().all(|&s| s == BlockState::Invalid));
         assert_eq!(p.dirty_blocks(&mgr), 0);
     }
 
@@ -419,11 +419,11 @@ mod tests {
         let (mut rt, mut mgr, mut p) = rolling(cfg, &[BS * 8]);
         let addr = mgr.addrs()[0];
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
-        let before = rt.platform().transfers().d2h_bytes;
+        let before = rt.platform.transfers().d2h_bytes;
         // Read one byte in block 5: only that block comes back.
         p.prepare_read(&mut rt, &mut mgr, addr, 5 * BS + 17, 1)
             .unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes - before, BS);
+        assert_eq!(rt.platform.transfers().d2h_bytes - before, BS);
         let obj = mgr.find(addr).unwrap();
         assert_eq!(obj.block(5).state, BlockState::ReadOnly);
         assert_eq!(obj.block(4).state, BlockState::Invalid);
@@ -435,16 +435,16 @@ mod tests {
         let (mut rt, mut mgr, mut p) = rolling(cfg, &[BS * 2]);
         let addr = mgr.addrs()[0];
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
-        let before_d2h = rt.platform().transfers().d2h_bytes;
+        let before_d2h = rt.platform.transfers().d2h_bytes;
         p.prepare_write(&mut rt, &mut mgr, addr, 0, BS).unwrap(); // whole block
         assert_eq!(
-            rt.platform().transfers().d2h_bytes,
+            rt.platform.transfers().d2h_bytes,
             before_d2h,
             "no fetch needed"
         );
         // Partial overwrite of an invalid block must fetch.
         p.prepare_write(&mut rt, &mut mgr, addr, BS, 8).unwrap();
-        assert_eq!(rt.platform().transfers().d2h_bytes - before_d2h, BS);
+        assert_eq!(rt.platform.transfers().d2h_bytes - before_d2h, BS);
     }
 
     #[test]
@@ -459,9 +459,9 @@ mod tests {
         assert_eq!(obj.block(2).len, 40960);
         // Dirtying + flushing the tail moves only the short length.
         p.prepare_write(&mut rt, &mut mgr, addr, 2 * BS, 8).unwrap();
-        let before = rt.platform().transfers().h2d_bytes;
+        let before = rt.platform.transfers().h2d_bytes;
         p.release(&mut rt, &mut mgr, DEV, None).unwrap();
-        assert_eq!(rt.platform().transfers().h2d_bytes - before, 40960);
+        assert_eq!(rt.platform.transfers().h2d_bytes - before, 40960);
     }
 
     #[test]
@@ -473,9 +473,12 @@ mod tests {
         p.release(&mut rt, &mut mgr, DEV, Some(&addrs[..1]))
             .unwrap();
         let written = mgr.find(addrs[0]).unwrap();
-        assert!(written.blocks().all(|b| b.state == BlockState::Invalid));
+        assert!(written.states().iter().all(|&s| s == BlockState::Invalid));
         let unwritten = mgr.find(addrs[1]).unwrap();
-        assert!(unwritten.blocks().all(|b| b.state == BlockState::ReadOnly));
+        assert!(unwritten
+            .states()
+            .iter()
+            .all(|&s| s == BlockState::ReadOnly));
     }
 
     #[test]

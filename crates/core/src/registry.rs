@@ -17,17 +17,18 @@
 //!   allocation at a taken host range must fail with
 //!   [`crate::GmacError::AddressCollision`] exactly as under the old global
 //!   MMU;
-//! * **placement of `adsmSafeAlloc` ranges**: the bump-allocation policy
-//!   (guard page between regions) mirrors `softmmu`'s `map_anywhere`, so
-//!   addresses are identical to the pre-shard runtime's.
+//! * **placement of `adsmSafeAlloc` ranges**: first fit over the gaps
+//!   between live claims from [`MMAP_BASE`], one guard page after every
+//!   claim. Freed ranges are reused, so a long alloc/free loop stays in a
+//!   bounded range; without frees each claim lands one guard page past the
+//!   previous one.
 
 use hetsim::DeviceId;
 use softmmu::{VAddr, PAGE_SIZE, VADDR_LIMIT};
 use std::collections::BTreeMap;
 
-/// Base of the area used by safe-alloc (anywhere) claims, matching
-/// `softmmu`'s anonymous-mmap base so safe allocations land at the same
-/// addresses as under the old single address space.
+/// Base of the area used by safe-alloc (anywhere) claims, far above every
+/// simulated device window.
 const MMAP_BASE: u64 = 0x7000_0000_0000;
 
 /// One claimed host range.
@@ -43,15 +44,11 @@ pub(crate) struct Claim {
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
     claims: BTreeMap<u64, Claim>,
-    mmap_cursor: u64,
 }
 
 impl Registry {
     pub(crate) fn new() -> Self {
-        Registry {
-            claims: BTreeMap::new(),
-            mmap_cursor: MMAP_BASE,
-        }
+        Registry::default()
     }
 
     /// The claim containing `addr`: `(object start, home device)`.
@@ -96,31 +93,33 @@ impl Registry {
     }
 
     /// Claims `len` bytes at a registry-chosen address (the safe-alloc
-    /// path), bump-allocating with a guard page exactly like the MMU's
-    /// anonymous mmap. Returns `None` when the virtual space is exhausted.
+    /// path): the lowest address at or above [`MMAP_BASE`] that leaves a
+    /// guard page after the claim before it and after itself. Returns `None`
+    /// when the virtual space is exhausted.
     pub(crate) fn claim_anywhere(&mut self, len: u64, dev: DeviceId) -> Option<VAddr> {
-        let len_rounded = VAddr(len).page_up().0;
-        let mut addr = VAddr(self.mmap_cursor);
-        while self.overlaps(addr, len_rounded) {
-            let next = self
-                .claims
-                .range(addr.0..)
-                .next()
-                .map(|(_, c)| VAddr(c.end).page_up() + PAGE_SIZE)?;
-            addr = next;
+        let len = VAddr(len).page_up().0;
+        let mut addr = MMAP_BASE;
+        // A claim straddling the base pushes the first candidate past it.
+        if let Some((_, c)) = self.claims.range(..MMAP_BASE).next_back() {
+            addr = addr.max(VAddr(c.end).page_up().0 + PAGE_SIZE);
         }
-        if addr.0 + len_rounded > VADDR_LIMIT {
+        for (&start, c) in self.claims.range(MMAP_BASE..) {
+            if addr + len + PAGE_SIZE <= start {
+                break;
+            }
+            addr = addr.max(VAddr(c.end).page_up().0 + PAGE_SIZE);
+        }
+        if addr + len > VADDR_LIMIT {
             return None;
         }
         self.claims.insert(
-            addr.0,
+            addr,
             Claim {
-                end: addr.0 + len_rounded,
+                end: addr + len,
                 dev,
             },
         );
-        self.mmap_cursor = (addr + len_rounded + PAGE_SIZE).0;
-        Some(addr)
+        Some(VAddr(addr))
     }
 
     /// Releases the claim starting exactly at `start`.
@@ -137,6 +136,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const D0: DeviceId = DeviceId(0);
     const D1: DeviceId = DeviceId(1);
@@ -182,5 +182,64 @@ mod tests {
             "guard page between"
         );
         assert_eq!(r.route(b), Some((b, D1)));
+    }
+
+    #[test]
+    fn freed_anywhere_ranges_are_reused_first_fit() {
+        let mut r = Registry::new();
+        let a = r.claim_anywhere(2 * PAGE_SIZE, D0).unwrap();
+        let b = r.claim_anywhere(PAGE_SIZE, D0).unwrap();
+        let c = r.claim_anywhere(PAGE_SIZE, D0).unwrap();
+        assert_eq!(b.0, a.0 + 3 * PAGE_SIZE);
+        assert_eq!(c.0, b.0 + 2 * PAGE_SIZE);
+        r.release(a);
+        // Too big for the freed hole plus its guard page: goes past `c`.
+        let d = r.claim_anywhere(3 * PAGE_SIZE, D0).unwrap();
+        assert_eq!(d.0, c.0 + 2 * PAGE_SIZE);
+        // Fits the hole with a guard page before `b`.
+        assert_eq!(r.claim_anywhere(2 * PAGE_SIZE, D1), Some(a));
+        assert_eq!(r.route(a), Some((a, D1)));
+    }
+
+    #[test]
+    fn a_million_claim_release_cycles_stay_in_a_bounded_range() {
+        let mut r = Registry::new();
+        let live = r.claim_anywhere(PAGE_SIZE, D0).unwrap();
+        let mut highest = 0;
+        for i in 0..1_000_000u64 {
+            let a = r.claim_anywhere((1 + i % 3) * PAGE_SIZE, D0).unwrap();
+            highest = highest.max(a.0);
+            r.release(a);
+        }
+        assert_eq!(live, VAddr(MMAP_BASE));
+        assert_eq!(
+            highest,
+            MMAP_BASE + 2 * PAGE_SIZE,
+            "every cycle reuses the hole"
+        );
+        assert_eq!(r.len(), 1);
+    }
+
+    proptest! {
+        /// Anywhere claims never overlap each other and always leave a guard
+        /// page between neighbours, under arbitrary claim/release mixes.
+        #[test]
+        fn anywhere_claims_are_disjoint_with_guard_pages(
+            ops in proptest::collection::vec((1u64..100_000, any::<bool>()), 1..40),
+        ) {
+            let mut r = Registry::new();
+            let mut live: Vec<VAddr> = Vec::new();
+            for (len, release) in ops {
+                if release && !live.is_empty() {
+                    r.release(live.remove(len as usize % live.len()));
+                    continue;
+                }
+                live.push(r.claim_anywhere(len, D0).unwrap());
+                let ranges: Vec<(u64, u64)> = r.claims.iter().map(|(&s, c)| (s, c.end)).collect();
+                for pair in ranges.windows(2) {
+                    prop_assert!(pair[0].1 + PAGE_SIZE <= pair[1].0, "claims too close");
+                }
+            }
+        }
     }
 }

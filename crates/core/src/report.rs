@@ -5,9 +5,10 @@
 //! Available from [`crate::Gmac::report`] and [`crate::Session::report`].
 
 use crate::gmac::Inner;
+use crate::object::SharedObject;
 use crate::shard::lock_shard;
 use crate::state::BlockState;
-use hetsim::stats::fmt_bytes;
+use hetsim::fmt_bytes;
 use hetsim::Category;
 use std::fmt;
 
@@ -29,7 +30,7 @@ pub struct ObjectReport {
 }
 
 /// Per-device eviction activity (device memory as a cache — see
-/// [`crate::evict`]). All zero on devices that never came under memory
+/// `evict.rs`). All zero on devices that never came under memory
 /// pressure; the text rendering skips those rows entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvictionReport {
@@ -48,13 +49,30 @@ pub struct EvictionReport {
     pub disk_spills: u64,
 }
 
+impl ObjectReport {
+    pub(crate) fn of(o: &SharedObject) -> Self {
+        ObjectReport {
+            addr: o.addr().0,
+            size: o.size(),
+            device: o.device().0,
+            unified: o.is_unified(),
+            block_size: o.block_size(),
+            blocks: (
+                o.count_in_state(BlockState::Invalid),
+                o.count_in_state(BlockState::ReadOnly),
+                o.count_in_state(BlockState::Dirty),
+            ),
+        }
+    }
+}
+
 impl EvictionReport {
     fn any(&self) -> bool {
         self.evictions + self.refetches + self.pin_saves + self.disk_spills > 0
     }
 }
 
-/// Race-detector snapshot (see [`crate::race`]); present only with
+/// Race-detector snapshot (see `race.rs`); present only with
 /// [`crate::GmacConfig::race_check`] on.
 #[derive(Debug, Clone)]
 pub struct RaceReport {
@@ -112,7 +130,7 @@ pub struct Report {
     pub dma_in_flight: u64,
     /// Deepest any per-device engine queue has been since start-up. Queued
     /// jobs only: solitary evictions the engine lands inline on the
-    /// submitting thread (see [`crate::xfer::DmaEngine`]) never sit in it.
+    /// submitting thread (see `xfer/engine.rs`) never sit in it.
     pub dma_queue_high_water: u64,
     /// Fairness accounting of the live [`crate::Service`] (per-priority
     /// served bytes, wait and run time); `None` when no service has been
@@ -165,18 +183,7 @@ impl Inner {
                 disk_spills: c.disk_spills,
             });
             for o in shard.mgr.iter() {
-                objects.push(ObjectReport {
-                    addr: o.addr().0,
-                    size: o.size(),
-                    device: o.device().0,
-                    unified: o.is_unified(),
-                    block_size: o.block_size(),
-                    blocks: (
-                        o.count_in_state(BlockState::Invalid),
-                        o.count_in_state(BlockState::ReadOnly),
-                        o.count_in_state(BlockState::Dirty),
-                    ),
-                });
+                objects.push(ObjectReport::of(o));
             }
             dirty_blocks += shard.dirty_block_count();
             if shard.pending.is_some() {
@@ -487,8 +494,7 @@ mod tests {
         s.store_slice::<u8>(a, &vec![5u8; 8 * 4096]).unwrap();
         // Second resolution of the same object: served by the shard memo.
         s.store_slice::<u8>(a, &vec![5u8; 8 * 4096]).unwrap();
-        s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, hetsim::DeviceId(0), None))
-            .unwrap();
+        s.release_to_device().unwrap();
         let r = g.report();
         assert!(r.h2d_jobs > 0);
         assert!(
@@ -523,8 +529,7 @@ mod tests {
         let a = s.alloc(8 * block).unwrap();
         s.store_slice::<u8>(a, &vec![9u8; 8 * block as usize])
             .unwrap();
-        s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, hetsim::DeviceId(0), None))
-            .unwrap();
+        s.release_to_device().unwrap();
         let r = g.report();
         assert!(r.async_dma);
         assert!(r.dma_queue_high_water >= 1, "the flush queued jobs");

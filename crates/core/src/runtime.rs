@@ -3,7 +3,7 @@
 //!
 //! Protocols do not move data imperatively. They declare the block ranges
 //! that must move in a [`TransferPlan`]; [`Runtime::execute`] coalesces the
-//! ranges into [`crate::xfer::DmaJob`]s, schedules them onto the device's
+//! ranges into [`DmaJob`](crate::xfer::plan::DmaJob)s, schedules them onto the device's
 //! per-direction DMA engine timelines (synchronously or asynchronously) and
 //! accounts jobs, bytes and coalesced blocks in the platform's extended
 //! `TransferLedger`. Outstanding asynchronous jobs are joined explicitly
@@ -66,7 +66,7 @@ pub struct Counters {
     /// Queued background DMA jobs that had already retired when their
     /// device was next joined — jobs whose execution genuinely overlapped
     /// CPU progress. Jobs the engine landed inline on the submitting thread
-    /// (solitary evictions, see [`crate::xfer::DmaEngine`]) overlapped
+    /// (solitary evictions, see `xfer/engine.rs`) overlapped
     /// nothing and are not counted. Wall-clock bookkeeping only; zero with
     /// [`crate::GmacConfig::async_dma`] off.
     pub jobs_overlapped: u64,
@@ -150,7 +150,7 @@ impl Counters {
 /// handle on the thread-safe [`Platform`]. Protocols keep driving it exactly
 /// as before — the platform's interior locks make concurrent shards safe.
 #[derive(Debug)]
-pub struct Runtime {
+pub(crate) struct Runtime {
     pub(crate) platform: Arc<Platform>,
     pub(crate) vm: AddressSpace,
     pub(crate) config: GmacConfig,
@@ -175,7 +175,8 @@ pub struct Runtime {
 impl Runtime {
     /// Creates a runtime owning a fresh platform handle (standalone
     /// harnesses and tests); transfers execute inline.
-    pub fn new(platform: Platform, config: GmacConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(platform: Platform, config: GmacConfig) -> Self {
         Self::from_shared(Arc::new(platform), config, None)
     }
 
@@ -214,31 +215,21 @@ impl Runtime {
         }
     }
 
-    /// The simulated platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The software MMU.
-    pub fn vm(&self) -> &AddressSpace {
-        &self.vm
-    }
-
     /// True when this runtime's address space is mmap-backed (the
     /// zero-instrumentation hit path is available).
-    pub fn mmap_active(&self) -> bool {
+    pub(crate) fn mmap_active(&self) -> bool {
         self.vm.is_mmap_backed()
     }
 
     /// True when mmap backing was requested but the runtime fell back to
     /// the table-walk backend (see [`crate::GmacConfig::mmap_backing`]).
-    pub fn backing_downgraded(&self) -> bool {
+    pub(crate) fn backing_downgraded(&self) -> bool {
         self.backing_downgraded
     }
 
     /// Event counters (TLB hit/miss totals are pulled from this runtime's
     /// address space at snapshot time).
-    pub fn counters(&self) -> Counters {
+    pub(crate) fn counters(&self) -> Counters {
         let mut c = self.counters;
         c.tlb_hits = self.vm.tlb_hits();
         c.tlb_misses = self.vm.tlb_misses();
@@ -246,7 +237,7 @@ impl Runtime {
     }
 
     /// Active configuration.
-    pub fn config(&self) -> &GmacConfig {
+    pub(crate) fn config(&self) -> &GmacConfig {
         &self.config
     }
 
@@ -254,7 +245,7 @@ impl Runtime {
 
     /// Starts an empty transfer plan honouring the configured coalescing
     /// toggle. `mode` only matters host-to-device; fetches are synchronous.
-    pub fn plan(&self, dir: Direction, mode: CopyMode, purpose: Purpose) -> TransferPlan {
+    pub(crate) fn plan(&self, dir: Direction, mode: CopyMode, purpose: Purpose) -> TransferPlan {
         TransferPlan::new(dir, mode, purpose, self.config.coalescing)
     }
 
@@ -277,7 +268,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Propagates platform/MMU failures.
-    pub fn execute(&mut self, plan: &TransferPlan) -> GmacResult<Option<TimePoint>> {
+    pub(crate) fn execute(&mut self, plan: &TransferPlan) -> GmacResult<Option<TimePoint>> {
         let mut last_end = None;
         for job in plan.jobs() {
             let host = job.addr + job.offset;
@@ -388,7 +379,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Fails for unknown devices; surfaces worker-side platform failures.
-    pub fn join_dma(&mut self, dev: DeviceId) -> GmacResult<()> {
+    pub(crate) fn join_dma(&mut self, dev: DeviceId) -> GmacResult<()> {
         if self.queue.take(dev).is_some() {
             self.platform.join_dma(dev, Direction::HostToDevice)?;
         }
@@ -411,7 +402,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Surfaces worker-side platform failures.
-    pub fn join_object(&mut self, dev: DeviceId, addr: VAddr) -> GmacResult<()> {
+    pub(crate) fn join_object(&mut self, dev: DeviceId, addr: VAddr) -> GmacResult<()> {
         if let Some(engine) = &self.engine {
             self.counters.dma_wait_ns += engine.wait_object(dev, addr)?;
         }
@@ -435,7 +426,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Propagates MMU failures.
-    pub fn protect_block(
+    pub(crate) fn protect_block(
         &mut self,
         obj: &SharedObject,
         idx: usize,
@@ -451,7 +442,11 @@ impl Runtime {
     ///
     /// # Errors
     /// Propagates MMU failures.
-    pub fn protect_object(&mut self, obj: &SharedObject, state: BlockState) -> GmacResult<()> {
+    pub(crate) fn protect_object(
+        &mut self,
+        obj: &SharedObject,
+        state: BlockState,
+    ) -> GmacResult<()> {
         self.vm
             .protect(obj.addr(), obj.size(), state.protection())?;
         Ok(())
@@ -464,7 +459,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Propagates MMU failures.
-    pub fn protect_range(
+    pub(crate) fn protect_range(
         &mut self,
         obj: &SharedObject,
         lo: u64,
@@ -483,7 +478,7 @@ impl Runtime {
     ///
     /// # Errors
     /// Propagates platform failures.
-    pub fn dev_fill(
+    pub(crate) fn dev_fill(
         &mut self,
         obj: &SharedObject,
         offset: u64,
@@ -501,7 +496,7 @@ impl Runtime {
 
     /// Charges the cost of one protection-fault delivery plus the
     /// block-lookup walk of `steps` nodes (paper §5.2), and counts it.
-    pub fn charge_signal(&mut self, steps: u64, write: bool) {
+    pub(crate) fn charge_signal(&mut self, steps: u64, write: bool) {
         let per_node = match self.config.lookup {
             crate::config::LookupKind::Tree => self.config.costs.lookup_tree_node,
             crate::config::LookupKind::Linear => self.config.costs.lookup_linear_entry,
@@ -516,7 +511,7 @@ impl Runtime {
     }
 
     /// Charges GMAC bookkeeping time to a ledger category.
-    pub fn charge(&mut self, cat: Category, dur: Nanos) {
+    pub(crate) fn charge(&mut self, cat: Category, dur: Nanos) {
         self.platform.spend(cat, dur);
     }
 
@@ -524,7 +519,7 @@ impl Runtime {
     ///
     /// # Errors
     /// [`GmacError::OutOfObjectBounds`] when the range spills past the end.
-    pub fn check_bounds(obj: &SharedObject, offset: u64, len: u64) -> GmacResult<()> {
+    pub(crate) fn check_bounds(obj: &SharedObject, offset: u64, len: u64) -> GmacResult<()> {
         if offset
             .checked_add(len)
             .map(|end| end <= obj.size())
@@ -538,41 +533,6 @@ impl Runtime {
                 len,
             })
         }
-    }
-
-    /// Reads current bytes of an object range *without* changing any state:
-    /// invalid blocks are read from the device, others from system memory.
-    /// Used by the bulk-memory interposition for source operands.
-    ///
-    /// # Errors
-    /// Propagates platform/MMU failures.
-    pub fn peek_range(&mut self, obj: &SharedObject, offset: u64, len: u64) -> GmacResult<Vec<u8>> {
-        Self::check_bounds(obj, offset, len)?;
-        // Invalid runs read device memory directly below; queued landings
-        // for this object must commit first.
-        self.join_object(obj.device(), obj.addr())?;
-        let mut out = vec![0u8; len as usize];
-        // Runs of equal state read as single spans: one device copy or one
-        // host gather per run instead of one per block.
-        for run in obj.runs_in(offset, len) {
-            let lo = run.start.max(offset);
-            let hi = run.end.min(offset + len);
-            let dst = &mut out[(lo - offset) as usize..(hi - offset) as usize];
-            if run.state == BlockState::Invalid {
-                let src = obj.dev_addr().add(lo);
-                self.platform
-                    .copy_d2h(obj.device(), src, dst, CopyMode::Sync)?;
-            } else {
-                self.vm.read_raw(obj.addr() + lo, dst)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Mirror of the unified address space check: true when the host mapping
-    /// for `addr` exists.
-    pub fn is_mapped(&self, addr: VAddr) -> bool {
-        self.vm.protection_at(addr).is_some()
     }
 }
 
@@ -634,9 +594,9 @@ mod tests {
         assert_eq!(rt.counters().blocks_fetched, 2);
         assert_eq!(rt.counters().bytes_flushed, 8192);
         assert_eq!(rt.counters().bytes_fetched, 8192);
-        assert_eq!(rt.platform().transfers().h2d_count, 1);
-        assert_eq!(rt.platform().transfers().d2h_count, 1);
-        assert_eq!(rt.platform().transfers().h2d_blocks, 2);
+        assert_eq!(rt.platform.transfers().h2d_count, 1);
+        assert_eq!(rt.platform.transfers().d2h_count, 1);
+        assert_eq!(rt.platform.transfers().h2d_blocks, 2);
     }
 
     #[test]
@@ -664,9 +624,9 @@ mod tests {
             plan.request_block(&obj, idx);
         }
         rt.execute(&plan).unwrap();
-        assert_eq!(rt.platform().transfers().h2d_count, 1, "one coalesced job");
+        assert_eq!(rt.platform.transfers().h2d_count, 1, "one coalesced job");
         assert_eq!(rt.counters().blocks_flushed, 4);
-        assert_eq!(rt.platform().transfers().h2d_bytes, 4 * 4096);
+        assert_eq!(rt.platform.transfers().h2d_bytes, 4 * 4096);
     }
 
     #[test]
@@ -677,7 +637,7 @@ mod tests {
             plan.request_block(&obj, idx);
         }
         rt.execute(&plan).unwrap();
-        assert_eq!(rt.platform().transfers().h2d_count, 4, "ablation baseline");
+        assert_eq!(rt.platform.transfers().h2d_count, 4, "ablation baseline");
         assert_eq!(rt.counters().blocks_flushed, 4);
     }
 
@@ -691,7 +651,7 @@ mod tests {
                 plan.request_block(&obj, idx);
             }
             rt.execute(&plan).unwrap();
-            rt.platform().elapsed()
+            rt.platform.elapsed()
         };
         assert!(
             run(true) < run(false),
@@ -751,31 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_reads_through_to_device_for_invalid_blocks() {
-        let (mut rt, mut obj) = setup(8192, 4096);
-        // Host says 1s, device says 2s.
-        rt.vm.write_raw(obj.addr(), &[1u8; 8192]).unwrap();
-        rt.platform
-            .device_mut(DeviceId(0))
-            .unwrap()
-            .mem_mut()
-            .write(obj.dev_addr(), &[2u8; 8192])
-            .unwrap();
-        obj.set_state(1, BlockState::Invalid);
-        let bytes = rt.peek_range(&obj, 0, 8192).unwrap();
-        assert!(
-            bytes[..4096].iter().all(|&b| b == 1),
-            "valid block read from host"
-        );
-        assert!(
-            bytes[4096..].iter().all(|&b| b == 2),
-            "invalid block read from device"
-        );
-        // Peek never mutates state.
-        assert_eq!(obj.block(1).state, BlockState::Invalid);
-    }
-
-    #[test]
     fn join_dma_waits_for_async_jobs() {
         let (mut rt, obj) = setup(8192, 4096);
         let mut plan = rt.plan(Direction::HostToDevice, CopyMode::Async, Purpose::Eviction);
@@ -812,6 +747,6 @@ mod tests {
         let (mut rt, _obj) = setup(4096, 4096);
         let plan = rt.plan(Direction::HostToDevice, CopyMode::Sync, Purpose::Release);
         assert_eq!(rt.execute(&plan).unwrap(), None);
-        assert_eq!(rt.platform().transfers().total_jobs(), 0);
+        assert_eq!(rt.platform.transfers().total_jobs(), 0);
     }
 }

@@ -27,7 +27,7 @@ pub enum SchedPolicy {
 
 /// The allocation/kernel scheduler.
 #[derive(Debug)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     policy: SchedPolicy,
     device_count: usize,
     next: usize,
@@ -35,7 +35,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler for a platform with `device_count` accelerators.
-    pub fn new(policy: SchedPolicy, device_count: usize) -> Self {
+    pub(crate) fn new(policy: SchedPolicy, device_count: usize) -> Self {
         assert!(device_count > 0, "scheduler needs at least one device");
         Scheduler {
             policy,
@@ -45,20 +45,12 @@ impl Scheduler {
     }
 
     /// Active policy.
-    pub fn policy(&self) -> SchedPolicy {
+    pub(crate) fn policy(&self) -> SchedPolicy {
         self.policy
     }
 
-    /// Number of accelerators the scheduler places across (surfaced as
-    /// [`crate::Gmac::device_count`]). Session affinities bypass the
-    /// policy; a bogus affinity device surfaces as `NoSuchDevice` at the
-    /// first allocation or call, charged nothing.
-    pub fn device_count(&self) -> usize {
-        self.device_count
-    }
-
     /// Replaces the policy.
-    pub fn set_policy(&mut self, policy: SchedPolicy) {
+    pub(crate) fn set_policy(&mut self, policy: SchedPolicy) {
         self.policy = policy;
     }
 
@@ -83,7 +75,7 @@ impl Scheduler {
 
     /// Chooses the device for a new allocation (no load information:
     /// [`SchedPolicy::LeastLoaded`] degrades to round-robin).
-    pub fn device_for_alloc(&mut self) -> DeviceId {
+    pub(crate) fn device_for_alloc(&mut self) -> DeviceId {
         self.device_for_alloc_loaded(&[])
     }
 
@@ -93,7 +85,7 @@ impl Scheduler {
     /// Only [`SchedPolicy::LeastLoaded`] consults the loads; a stale or
     /// missing snapshot (length mismatch, all idle) falls back to the
     /// round-robin rotation so placement keeps making progress.
-    pub fn device_for_alloc_loaded(&mut self, loads: &[(u64, u64)]) -> DeviceId {
+    pub(crate) fn device_for_alloc_loaded(&mut self, loads: &[(u64, u64)]) -> DeviceId {
         match self.policy {
             SchedPolicy::Fixed(dev) => dev,
             SchedPolicy::RoundRobin => self.rotate(|_| true),
@@ -118,7 +110,11 @@ impl Scheduler {
     /// [`SchedPolicy::Fixed`] falls back to the first
     /// allowed device when its pin is excluded (or keeps the pin when
     /// nothing is allowed, surfacing the affinity conflict downstream).
-    pub fn device_for_alloc_where(&mut self, allowed: impl Fn(DeviceId) -> bool) -> DeviceId {
+    #[cfg(test)]
+    pub(crate) fn device_for_alloc_where(
+        &mut self,
+        allowed: impl Fn(DeviceId) -> bool,
+    ) -> DeviceId {
         match self.policy {
             SchedPolicy::Fixed(dev) => {
                 if allowed(dev) {
@@ -135,7 +131,7 @@ impl Scheduler {
     }
 
     /// Device used for kernels that reference no shared objects.
-    pub fn default_device(&self) -> DeviceId {
+    pub(crate) fn default_device(&self) -> DeviceId {
         match self.policy {
             SchedPolicy::Fixed(dev) => dev,
             SchedPolicy::RoundRobin | SchedPolicy::LeastLoaded => DeviceId(0),

@@ -11,7 +11,7 @@ use hetsim::Nanos;
 
 /// Floor for the per-job drain estimate when the service has not completed
 /// any job yet (a cold service still hands out a non-zero hint).
-pub const MIN_JOB_DRAIN_NS: u64 = 1_000;
+pub(crate) const MIN_JOB_DRAIN_NS: u64 = 1_000;
 
 /// Retry-after estimate for a refused job: the time the current backlog
 /// needs to drain across the device pool, using the observed mean job
@@ -21,7 +21,7 @@ pub const MIN_JOB_DRAIN_NS: u64 = 1_000;
 /// The estimate is deliberately simple — queue length × mean service time ÷
 /// devices — the classic M/M/c back-of-envelope; its job is to give the
 /// client a plausible backoff, not a promise.
-pub fn retry_after_hint(queued: usize, devices: usize, avg_run_ns: u64) -> Nanos {
+pub(crate) fn retry_after_hint(queued: usize, devices: usize, avg_run_ns: u64) -> Nanos {
     let per_job = avg_run_ns.max(MIN_JOB_DRAIN_NS);
     let backlog = (queued as u64).saturating_add(1);
     // The division can floor a small backlog on a wide device pool to zero;

@@ -53,14 +53,16 @@
 //! per-category virtual-time ledgers) between the two modes and plain
 //! direct execution.
 
-pub mod admission;
-pub mod placer;
-pub mod queue;
-pub mod stats;
+pub(crate) mod admission;
+pub(crate) mod placer;
+pub(crate) mod queue;
+pub(crate) mod stats;
 
 pub use placer::LoadBoard;
-pub use queue::{JobFn, JobId, JobMeta, Priority};
-pub use stats::{ClassSnapshot, ServiceSnapshot, ServiceStats};
+pub(crate) use queue::JobMeta;
+pub use queue::{JobFn, JobId, Priority};
+pub(crate) use stats::ServiceStats;
+pub use stats::{ClassSnapshot, ServiceSnapshot};
 
 use crate::error::{GmacError, GmacResult};
 use crate::gmac::{lock, Inner};
@@ -255,7 +257,8 @@ impl SvcShared {
     }
 }
 
-/// The multi-tenant job-submission front-end (see the [module docs](self)).
+/// The multi-tenant job-submission front-end (design notes in
+/// `service/mod.rs`).
 ///
 /// Created with [`crate::Gmac::service`]; hand out one [`ServiceClient`]
 /// per tenant. Dropping the service closes admission, **drains** the
@@ -422,11 +425,6 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// This client's session identity (its fair-queue lane key).
-    pub fn session_id(&self) -> crate::session::SessionId {
-        self.session
-    }
-
     /// This client's priority class.
     pub fn priority(&self) -> Priority {
         self.priority

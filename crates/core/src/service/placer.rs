@@ -48,12 +48,12 @@ impl LoadBoard {
     }
 
     /// Number of devices tracked.
-    pub fn device_count(&self) -> usize {
+    pub(crate) fn device_count(&self) -> usize {
         self.devs.len()
     }
 
     /// `(queued jobs, in-flight bytes)` per device, in id order.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn snapshot(&self) -> Vec<(u64, u64)> {
         self.devs
             .iter()
             .map(|d| {
@@ -67,7 +67,7 @@ impl LoadBoard {
 
     /// Resident device bytes per device, in id order (see
     /// [`Self::add_resident`]).
-    pub fn resident_snapshot(&self) -> Vec<u64> {
+    pub(crate) fn resident_snapshot(&self) -> Vec<u64> {
         self.devs
             .iter()
             .map(|d| d.resident.load(Ordering::Relaxed))
@@ -98,19 +98,19 @@ impl LoadBoard {
     }
 
     /// Records a job handed to `dev`'s run queue.
-    pub fn note_placed(&self, dev: DeviceId) {
+    pub(crate) fn note_placed(&self, dev: DeviceId) {
         self.devs[dev.0].queued.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job starting execution on `dev` with byte footprint `cost`.
-    pub fn note_started(&self, dev: DeviceId, cost: u64) {
+    pub(crate) fn note_started(&self, dev: DeviceId, cost: u64) {
         self.devs[dev.0]
             .inflight_bytes
             .fetch_add(cost, Ordering::Relaxed);
     }
 
     /// Records a job finishing on `dev`.
-    pub fn note_finished(&self, dev: DeviceId, cost: u64) {
+    pub(crate) fn note_finished(&self, dev: DeviceId, cost: u64) {
         self.devs[dev.0].queued.fetch_sub(1, Ordering::Relaxed);
         self.devs[dev.0]
             .inflight_bytes
@@ -119,14 +119,14 @@ impl LoadBoard {
 
     /// Records `bytes` of shared-object data becoming resident on `dev`
     /// (allocation or eviction re-fetch).
-    pub fn add_resident(&self, dev: DeviceId, bytes: u64) {
+    pub(crate) fn add_resident(&self, dev: DeviceId, bytes: u64) {
         self.devs[dev.0]
             .resident
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records `bytes` leaving `dev`'s memory (eviction or free).
-    pub fn sub_resident(&self, dev: DeviceId, bytes: u64) {
+    pub(crate) fn sub_resident(&self, dev: DeviceId, bytes: u64) {
         self.devs[dev.0]
             .resident
             .fetch_sub(bytes, Ordering::Relaxed);

@@ -23,7 +23,7 @@ use std::time::Instant;
 /// DRR credit per lane visit, scaled by the lane's priority weight. Chosen
 /// near the protocols' block granularity so one visit typically admits one
 /// block-sized job.
-pub const QUANTUM: u64 = 64 * 1024;
+pub(crate) const QUANTUM: u64 = 64 * 1024;
 
 /// Per-session priority class carried by every job the session submits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -86,7 +86,7 @@ pub struct JobId(pub u64);
 
 /// Bookkeeping attached to every queued job.
 #[derive(Debug, Clone, Copy)]
-pub struct JobMeta {
+pub(crate) struct JobMeta {
     /// Job identity.
     pub id: JobId,
     /// Submitting client session.
@@ -117,7 +117,7 @@ impl std::fmt::Debug for QueuedJob {
 /// Why a push was refused (converted to [`GmacError::Admission`] by the
 /// admission layer, which adds the retry-after hint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushRejected {
+pub(crate) enum PushRejected {
     /// The bounded queue is at capacity.
     Full {
         /// Jobs currently queued.

@@ -24,27 +24,34 @@ struct ClassCells {
 /// Live service accounting, shared between the service front-end, its
 /// worker threads and the runtime report.
 #[derive(Debug, Default)]
-pub struct ServiceStats {
+pub(crate) struct ServiceStats {
     classes: [ClassCells; 3],
 }
 
 impl ServiceStats {
     /// Records a job admitted to the queue.
-    pub fn note_submitted(&self, class: Priority) {
+    pub(crate) fn note_submitted(&self, class: Priority) {
         self.classes[class.index()]
             .submitted
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job refused at admission.
-    pub fn note_rejected(&self, class: Priority) {
+    pub(crate) fn note_rejected(&self, class: Priority) {
         self.classes[class.index()]
             .rejected
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a completed job: its byte footprint, queue wait and run time.
-    pub fn note_completed(&self, class: Priority, bytes: u64, wait_ns: u64, run_ns: u64, ok: bool) {
+    pub(crate) fn note_completed(
+        &self,
+        class: Priority,
+        bytes: u64,
+        wait_ns: u64,
+        run_ns: u64,
+        ok: bool,
+    ) {
         let c = &self.classes[class.index()];
         c.completed.fetch_add(1, Ordering::Relaxed);
         if !ok {
@@ -57,7 +64,7 @@ impl ServiceStats {
 
     /// Mean wall-clock execution time over all completed jobs (ns); 0 with
     /// no completions. Feeds the admission layer's retry-after estimate.
-    pub fn avg_run_ns(&self) -> u64 {
+    pub(crate) fn avg_run_ns(&self) -> u64 {
         let (mut jobs, mut ns) = (0u64, 0u64);
         for c in &self.classes {
             jobs += c.completed.load(Ordering::Relaxed);
@@ -67,7 +74,7 @@ impl ServiceStats {
     }
 
     /// Point-in-time copy for reports.
-    pub fn snapshot(&self) -> ServiceSnapshot {
+    pub(crate) fn snapshot(&self) -> ServiceSnapshot {
         let class = |p: Priority| {
             let c = &self.classes[p.index()];
             ClassSnapshot {

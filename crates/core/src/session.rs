@@ -23,8 +23,8 @@
 use crate::config::GmacConfig;
 use crate::error::GmacResult;
 use crate::gmac::{Inner, RouteCache};
-use crate::object::SharedObject;
 use crate::ptr::{Param, SharedPtr};
+use crate::report::ObjectReport;
 use crate::runtime::Counters;
 use crate::typed::Shared;
 use hetsim::{DevAddr, DeviceId, LaunchDims, Platform, TimeLedger, TransferLedger};
@@ -434,7 +434,7 @@ impl Session {
     }
 
     /// Snapshot of the shared object containing `ptr` (diagnostics/tests).
-    pub fn object_at(&self, ptr: SharedPtr) -> Option<SharedObject> {
+    pub fn object_at(&self, ptr: SharedPtr) -> Option<ObjectReport> {
         self.inner.object_at(ptr)
     }
 
@@ -444,27 +444,18 @@ impl Session {
         self.inner.dirty_block_count()
     }
 
-    /// Direct access to the runtime internals of **one device shard**
-    /// (protocol ablation harnesses and tests). Not part of the stable API.
-    /// Operates on the session's affinity device (device 0 without
-    /// affinity); the shard lock is held for the duration of `f` and is not
-    /// reentrant — do not call back into the session API (or drop `Shared`
-    /// buffers) inside the closure.
+    /// Releases the session's device shard to the accelerator as a kernel
+    /// call would (the protocol's release flush), without launching one.
+    /// Queued DMA stays in flight. A test hook, not part of the stable API;
+    /// operates on the affinity device (device 0 without affinity).
     #[doc(hidden)]
-    pub fn with_parts<R>(
-        &self,
-        f: impl FnOnce(
-            &mut crate::runtime::Runtime,
-            &mut crate::manager::Manager,
-            &mut dyn crate::protocol::CoherenceProtocol,
-        ) -> R,
-    ) -> R {
+    pub fn release_to_device(&self) -> GmacResult<()> {
         let dev = self.view.affinity.unwrap_or(DeviceId(0));
         let mut shard = self.inner.shard(dev);
         let crate::shard::DeviceShard {
             rt, mgr, protocol, ..
         } = &mut *shard;
-        f(rt, mgr, protocol.as_mut())
+        protocol.release(rt, mgr, dev, None)
     }
 }
 
@@ -601,7 +592,7 @@ mod tests {
         let g = Gmac::new(Platform::desktop_multi_gpu(2), GmacConfig::default());
         let s1 = g.session_on(DeviceId(1));
         let p = s1.safe_alloc(4096).unwrap();
-        assert_eq!(s1.object_at(p).unwrap().device(), DeviceId(1));
+        assert_eq!(s1.object_at(p).unwrap().device, 1);
         s1.free(p).unwrap();
     }
 }

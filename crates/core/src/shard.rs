@@ -173,7 +173,7 @@ impl WriteSrc<'_> {
 ///
 /// See the [module docs](self) for the lock-order invariant.
 #[derive(Debug)]
-pub struct DeviceShard {
+pub(crate) struct DeviceShard {
     pub(crate) dev: DeviceId,
     /// Per-shard runtime: shared platform handle + this shard's MMU regions,
     /// DMA queue and counters.

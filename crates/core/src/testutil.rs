@@ -1,17 +1,19 @@
-//! Test harness utilities shared by the protocol unit tests and the
-//! benchmark crate. Not part of the public API.
-#![doc(hidden)]
+//! Test harness utilities: [`NopKernel`] for the integration tests and the
+//! bench crate, and the runtime harness the protocol unit tests share. Not
+//! part of the public API.
 #![allow(missing_docs)]
 
-use crate::config::{GmacConfig, Protocol};
-use crate::manager::Manager;
-use crate::object::SharedObject;
-use crate::protocol::{make, CoherenceProtocol};
-use crate::runtime::Runtime;
-use hetsim::{
-    Args, DeviceId, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
+use hetsim::{Args, DeviceMemory, Kernel, KernelProfile, LaunchDims, SimResult};
+#[cfg(test)]
+use {
+    crate::config::{GmacConfig, Protocol},
+    crate::manager::Manager,
+    crate::object::SharedObject,
+    crate::protocol::{make, CoherenceProtocol},
+    crate::runtime::Runtime,
+    hetsim::{DeviceId, Platform},
+    softmmu::{Protection, VAddr},
 };
-use softmmu::{Protection, VAddr};
 
 /// A kernel that does nothing (pending-call and scheduling tests).
 #[derive(Debug)]
@@ -34,7 +36,8 @@ impl Kernel for NopKernel {
 
 /// Builds a runtime + manager + protocol with one shared object per entry of
 /// `sizes` (bytes, page-multiples), mimicking what `Session::alloc` does.
-pub fn harness(
+#[cfg(test)]
+pub(crate) fn harness(
     protocol: Protocol,
     sizes: &[u64],
 ) -> (Runtime, Manager, Box<dyn CoherenceProtocol>) {
@@ -42,7 +45,8 @@ pub fn harness(
 }
 
 /// Like [`harness`] with full configuration control.
-pub fn harness_with_config(
+#[cfg(test)]
+pub(crate) fn harness_with_config(
     config: GmacConfig,
     sizes: &[u64],
 ) -> (Runtime, Manager, Box<dyn CoherenceProtocol>) {
@@ -58,7 +62,8 @@ pub fn harness_with_config(
 
 /// Allocates one shared object the way `Session::alloc` does (device memory,
 /// mirrored host mapping at the same address, registration, protocol hook).
-pub fn alloc_object(
+#[cfg(test)]
+pub(crate) fn alloc_object(
     rt: &mut Runtime,
     mgr: &mut Manager,
     proto: &mut dyn CoherenceProtocol,
@@ -66,7 +71,7 @@ pub fn alloc_object(
     size: u64,
 ) -> VAddr {
     let size = VAddr(size).page_up().0.max(softmmu::PAGE_SIZE);
-    let dev_addr = rt.platform().dev_alloc(dev, size).expect("device alloc");
+    let dev_addr = rt.platform.dev_alloc(dev, size).expect("device alloc");
     let addr = VAddr(dev_addr.0);
     let initial = proto.initial_state();
     let region = rt

@@ -113,11 +113,6 @@ impl<T: Scalar> Shared<T> {
         self.len == 0
     }
 
-    /// Buffer extent in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.len as u64 * T::SIZE as u64
-    }
-
     /// Shared pointer to element `i` (for sub-range kernel parameters).
     ///
     /// # Panics
@@ -297,7 +292,11 @@ mod tests {
             let v = s.alloc_typed::<u32>(1000).unwrap();
             assert_eq!(v.len(), 1000);
             assert!(!v.is_empty());
-            assert_eq!(v.size_bytes(), 4000);
+            assert_eq!(
+                s.object_at(v.ptr()).unwrap().size,
+                4096,
+                "4000 bytes, page-rounded"
+            );
             v.write(999, 0xDEAD).unwrap();
             v.write(0, 7).unwrap();
             assert_eq!(v.read(999).unwrap(), 0xDEAD, "{protocol}");

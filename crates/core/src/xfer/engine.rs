@@ -109,7 +109,7 @@ struct DeviceState {
 
 /// Engine statistics for [`crate::Report`] (wall-clock bookkeeping only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
+pub(crate) struct EngineStats {
     /// Jobs handed to the engine since creation (queued and inline).
     pub submitted: u64,
     /// Jobs whose bytes have landed in device memory.
@@ -121,7 +121,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Jobs queued or executing right now.
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.submitted - self.completed
     }
 }
@@ -135,7 +135,7 @@ impl EngineStats {
 /// overtaken by an earlier one). Solitary eviction jobs skip the worker
 /// when the queue is idle (see the module docs).
 #[derive(Debug)]
-pub struct DmaEngine {
+pub(crate) struct DmaEngine {
     platform: Arc<Platform>,
     devices: Arc<Vec<DeviceState>>,
     workers: Vec<JoinHandle<()>>,
@@ -143,7 +143,7 @@ pub struct DmaEngine {
 
 impl DmaEngine {
     /// Spawns one worker per platform device.
-    pub fn new(platform: Arc<Platform>) -> Self {
+    pub(crate) fn new(platform: Arc<Platform>) -> Self {
         let devices: Arc<Vec<DeviceState>> = Arc::new(
             (0..platform.device_count())
                 .map(|_| DeviceState {
@@ -177,7 +177,7 @@ impl DmaEngine {
     /// size. The caller lends such a job's bytes in place instead of taking
     /// an owned snapshot; whether it really lands inline is decided in
     /// [`Self::submit`], which also needs the queue idle.
-    pub fn inline_candidate(purpose: Purpose) -> bool {
+    pub(crate) fn inline_candidate(purpose: Purpose) -> bool {
         purpose == Purpose::Eviction
     }
 
@@ -189,7 +189,7 @@ impl DmaEngine {
     /// lent; everything else is queued for the worker with an owned
     /// snapshot of `bytes` (the snapshot is what pins a queued job against
     /// later CPU writes).
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         dev: DeviceId,
         obj: VAddr,
@@ -220,7 +220,7 @@ impl DmaEngine {
     ///
     /// # Errors
     /// Surfaces the first failed landing (worker or inline), if any.
-    pub fn wait_device(&self, dev: DeviceId) -> GmacResult<u64> {
+    pub(crate) fn wait_device(&self, dev: DeviceId) -> GmacResult<u64> {
         let state = self.state(dev);
         let mut q = lock_ok(&state.queue);
         let overlapped = q.completed.saturating_sub(q.overlap_mark);
@@ -245,7 +245,7 @@ impl DmaEngine {
     ///
     /// # Errors
     /// Surfaces the first failed landing (worker or inline), if any.
-    pub fn wait_object(&self, dev: DeviceId, obj: VAddr) -> GmacResult<u64> {
+    pub(crate) fn wait_object(&self, dev: DeviceId, obj: VAddr) -> GmacResult<u64> {
         let state = self.state(dev);
         let mut q = lock_ok(&state.queue);
         let mut blocked_since = None;
@@ -262,24 +262,18 @@ impl DmaEngine {
         Ok(blocked_since.map_or(0, |t| t.elapsed().as_nanos() as u64))
     }
 
-    /// True when `dev` has jobs queued or executing.
-    pub fn is_busy(&self, dev: DeviceId) -> bool {
-        let q = lock_ok(&self.state(dev).queue);
-        q.completed < q.submitted
-    }
-
     /// True when the object starting at `obj` has jobs queued or executing
     /// on `dev`. The eviction path treats such objects as pinned: their
     /// device range must not be returned to the allocator while a staged
     /// byte landing still targets it.
-    pub fn object_busy(&self, dev: DeviceId, obj: VAddr) -> bool {
+    pub(crate) fn object_busy(&self, dev: DeviceId, obj: VAddr) -> bool {
         lock_ok(&self.state(dev).queue)
             .inflight_per_object
             .contains_key(&obj)
     }
 
     /// Aggregate statistics across all devices.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         let mut s = EngineStats::default();
         for state in self.devices.iter() {
             let q = lock_ok(&state.queue);
@@ -446,7 +440,8 @@ mod tests {
         // reports zero.
         engine.wait_device(DEV).unwrap();
         assert_eq!(engine.wait_device(DEV).unwrap(), 0);
-        assert!(!engine.is_busy(DEV));
+        let q = lock_ok(&engine.state(DEV).queue);
+        assert_eq!(q.completed, q.submitted, "nothing queued or executing");
     }
 
     #[test]

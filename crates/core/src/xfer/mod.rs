@@ -34,10 +34,10 @@
 //! disabled jobs execute inline at issue, inside the shard lock, exactly as
 //! before.
 
-pub mod engine;
-pub mod plan;
-pub mod queue;
+pub(crate) mod engine;
+pub(crate) mod plan;
+pub(crate) mod queue;
 
-pub use engine::{DmaEngine, EngineStats};
-pub use plan::{DmaJob, Purpose, TransferPlan};
-pub use queue::DmaQueue;
+pub(crate) use engine::DmaEngine;
+pub use plan::{Purpose, TransferPlan};
+pub(crate) use queue::DmaQueue;

@@ -66,7 +66,7 @@ pub struct DmaJob {
 }
 
 /// A batch of planned transfers in one direction, executed by
-/// [`crate::runtime::Runtime::execute`].
+/// `Runtime::execute`.
 #[derive(Debug)]
 pub struct TransferPlan {
     dir: Direction,
@@ -91,28 +91,18 @@ impl TransferPlan {
     }
 
     /// Transfer direction.
-    pub fn dir(&self) -> Direction {
+    pub(crate) fn dir(&self) -> Direction {
         self.dir
     }
 
     /// Whether jobs block the host.
-    pub fn mode(&self) -> CopyMode {
+    pub(crate) fn mode(&self) -> CopyMode {
         self.mode
     }
 
     /// Why the plan moves data.
-    pub fn purpose(&self) -> Purpose {
+    pub(crate) fn purpose(&self) -> Purpose {
         self.purpose
-    }
-
-    /// True when no ranges have been requested.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Number of requested (pre-coalescing) ranges.
-    pub fn requests(&self) -> usize {
-        self.ranges.len()
     }
 
     /// Requests `[offset, offset+len)` of `obj`. The block count attributed
@@ -155,7 +145,7 @@ impl TransferPlan {
     }
 
     /// Requests exactly block `idx` of `obj`.
-    pub fn request_block(&mut self, obj: &SharedObject, idx: usize) {
+    pub(crate) fn request_block(&mut self, obj: &SharedObject, idx: usize) {
         let block = obj.block(idx);
         self.request(obj, block.offset, block.len);
     }
@@ -308,12 +298,11 @@ mod tests {
     fn empty_and_zero_length_requests() {
         let o = obj(0x10_0000, 4096, 4096);
         let mut p = plan(true);
-        assert!(p.is_empty());
+        assert!(p.ranges.is_empty());
         p.request(&o, 0, 0);
-        assert!(p.is_empty(), "zero-length request is dropped");
+        assert!(p.ranges.is_empty(), "zero-length request is dropped");
         p.request_block(&o, 0);
-        assert_eq!(p.requests(), 1);
-        assert!(!p.is_empty());
+        assert_eq!(p.ranges.len(), 1);
     }
 
     #[test]

@@ -14,35 +14,31 @@ use std::collections::BTreeMap;
 /// holds its own device's horizon — the map form is kept for standalone
 /// harnesses that drive one `Runtime` across several devices.
 #[derive(Debug, Default)]
-pub struct DmaQueue {
+pub(crate) struct DmaQueue {
     pending: BTreeMap<DeviceId, TimePoint>,
 }
 
 impl DmaQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records that an async job on `dev` completes at `end`.
-    pub fn note(&mut self, dev: DeviceId, end: TimePoint) {
+    pub(crate) fn note(&mut self, dev: DeviceId, end: TimePoint) {
         let slot = self.pending.entry(dev).or_insert(end);
         *slot = (*slot).max(end);
     }
 
-    /// Completion horizon of outstanding async DMA on `dev`, if any.
-    pub fn pending(&self, dev: DeviceId) -> Option<TimePoint> {
-        self.pending.get(&dev).copied()
-    }
-
     /// True when no async DMA is outstanding on `dev`.
-    pub fn is_idle(&self, dev: DeviceId) -> bool {
-        self.pending(dev).is_none()
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self, dev: DeviceId) -> bool {
+        !self.pending.contains_key(&dev)
     }
 
     /// Clears and returns the horizon for `dev` (the caller is about to
     /// block on it).
-    pub fn take(&mut self, dev: DeviceId) -> Option<TimePoint> {
+    pub(crate) fn take(&mut self, dev: DeviceId) -> Option<TimePoint> {
         self.pending.remove(&dev)
     }
 }
@@ -62,8 +58,8 @@ mod tests {
         q.note(DeviceId(0), t(100));
         q.note(DeviceId(0), t(50)); // earlier completion does not regress
         q.note(DeviceId(1), t(300));
-        assert_eq!(q.pending(DeviceId(0)), Some(t(100)));
-        assert_eq!(q.pending(DeviceId(1)), Some(t(300)));
+        assert_eq!(q.pending.get(&DeviceId(0)), Some(&t(100)));
+        assert_eq!(q.pending.get(&DeviceId(1)), Some(&t(300)));
     }
 
     #[test]

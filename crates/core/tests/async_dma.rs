@@ -11,7 +11,7 @@
 //! queue must drain and join the workers, never deadlock.
 
 use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol};
-use hetsim::{Category, DeviceId, LaunchDims, Platform};
+use hetsim::{Category, LaunchDims, Platform};
 use proptest::prelude::*;
 
 #[test]
@@ -83,7 +83,7 @@ proptest! {
             }
             // Flush to the device (queues engine jobs in async mode), then
             // read everything back through the fault path.
-            s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, DeviceId(0), None))
+            s.release_to_device()
                 .expect("release");
             let bytes = s.load_slice::<u8>(p, SIZE as usize).expect("load");
             let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -186,15 +186,13 @@ fn free_while_a_flush_is_in_flight_joins_and_succeeds() {
     let s = g.session();
     let p = s.alloc(4 << 20).unwrap();
     s.store_slice::<u8>(p, &vec![0xA5; 4 << 20]).unwrap();
-    s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, DeviceId(0), None))
-        .unwrap();
+    s.release_to_device().unwrap();
     s.free(p).unwrap();
     // The device range is immediately reusable: a fresh object over the
     // same memory round-trips its own bytes.
     let q = s.alloc(4 << 20).unwrap();
     s.store_slice::<u8>(q, &vec![0x3C; 4 << 20]).unwrap();
-    s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, DeviceId(0), None))
-        .unwrap();
+    s.release_to_device().unwrap();
     let back = s.load_slice::<u8>(q, 4 << 20).unwrap();
     assert!(back.iter().all(|&b| b == 0x3C), "recycled range corrupted");
 }
@@ -233,8 +231,7 @@ fn dropping_gmac_with_queued_jobs_drains_and_never_deadlocks() {
         s.store_slice::<u8>(p, &vec![7u8; 8 << 20]).unwrap();
         // Queue a burst of flush jobs and drop everything immediately:
         // session, shards, then the engine with whatever is still queued.
-        s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, DeviceId(0), None))
-            .unwrap();
+        s.release_to_device().unwrap();
         drop(s);
         drop(g);
         tx.send(()).unwrap();

@@ -1,9 +1,11 @@
 //! Edge cases of the GMAC API surface: degenerate sizes, repeated calls,
 //! object lifetime corner cases, and cross-protocol state checks.
 
-use gmac::{BlockState, Gmac, GmacConfig, GmacError, Param, Protocol, Session};
-use hetsim::kernel::{read_f32_slice, write_f32_slice};
-use hetsim::{Args, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult};
+use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol, Session};
+use hetsim::{
+    read_f32_slice, write_f32_slice, Args, DeviceMemory, Kernel, KernelProfile, LaunchDims,
+    Platform, SimResult,
+};
 use softmmu::PAGE_SIZE;
 use std::sync::Arc;
 
@@ -42,7 +44,7 @@ fn one_byte_alloc_rounds_to_a_page() {
     let c = session(Protocol::Rolling);
     let p = c.alloc(1).unwrap();
     let obj = c.object_at(p).unwrap();
-    assert_eq!(obj.size(), PAGE_SIZE);
+    assert_eq!(obj.size, PAGE_SIZE);
     // The whole page is usable.
     c.store::<u8>(p.byte_add(PAGE_SIZE - 1), 0xFF).unwrap();
     assert_eq!(c.load::<u8>(p.byte_add(PAGE_SIZE - 1)).unwrap(), 0xFF);
@@ -54,7 +56,7 @@ fn one_byte_alloc_rounds_to_a_page() {
 fn zero_size_alloc_also_rounds_up() {
     let c = session(Protocol::Rolling);
     let p = c.alloc(0).unwrap();
-    assert_eq!(c.object_at(p).unwrap().size(), PAGE_SIZE);
+    assert_eq!(c.object_at(p).unwrap().size, PAGE_SIZE);
     c.free(p).unwrap();
 }
 
@@ -110,7 +112,7 @@ fn free_discards_dirty_data_without_flushing() {
     c.free(a).unwrap();
     // The other object still works; the dirty bound still holds.
     c.store::<u8>(b.byte_add(5 * 4096), 3).unwrap();
-    assert!(c.with_parts(|_, mgr, protocol| protocol.dirty_blocks(mgr)) <= 2);
+    assert!(c.dirty_block_count() <= 2);
 }
 
 #[test]
@@ -191,17 +193,19 @@ fn states_after_full_cycle_match_protocol_semantics() {
         )
         .unwrap();
         c.sync().unwrap();
+        // `blocks` counts (invalid, read-only, dirty); the object is one block.
         let obj = c.object_at(p).unwrap();
+        assert!(obj.size <= obj.block_size, "{protocol}: one block");
         match protocol {
             // Batch fetched everything back at sync: dirty.
-            Protocol::Batch => assert_eq!(obj.block(0).state, BlockState::Dirty),
+            Protocol::Batch => assert_eq!(obj.blocks, (0, 0, 1)),
             // Lazy/rolling leave data on the accelerator: invalid.
-            _ => assert!(obj.blocks().all(|b| b.state == BlockState::Invalid)),
+            _ => assert_eq!(obj.blocks, (1, 0, 0)),
         }
         // A read faults it back in (except batch, which already has it).
         let _: u8 = c.load(p).unwrap();
         let obj = c.object_at(p).unwrap();
-        assert_ne!(obj.block(0).state, BlockState::Invalid, "{protocol}");
+        assert_eq!(obj.blocks.0, 0, "{protocol}");
     }
 }
 

@@ -17,10 +17,9 @@
 //!    with a multi-block write, and every byte still lands.
 
 use gmac::{Gmac, GmacConfig, Param, Protocol};
-use hetsim::kernel::{read_f32_slice, write_f32_slice};
 use hetsim::{
-    Args, DeviceMemory, GpuSpec, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
-    DEFAULT_DEVICE_BASE,
+    read_f32_slice, write_f32_slice, Args, DeviceMemory, GpuSpec, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult, DEFAULT_DEVICE_BASE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -284,7 +283,7 @@ fn apply(s: &gmac::Session, live: &mut Vec<gmac::SharedPtr>, op: &Op) -> (u64, V
         }
         Op::CallInc(n) => {
             if let Some(&p) = live.get(n) {
-                let elems = s.object_at(p).map(|o| o.size() / 4).unwrap_or(0);
+                let elems = s.object_at(p).map(|o| o.size / 4).unwrap_or(0);
                 match s
                     .call(
                         "inc",
@@ -324,7 +323,7 @@ proptest! {
         // Final sweep: every surviving object dumps identical bytes.
         prop_assert_eq!(tight_live.len(), roomy_live.len());
         for (&tp, &rp) in tight_live.iter().zip(&roomy_live) {
-            let size = ts.object_at(tp).unwrap().size() as usize;
+            let size = ts.object_at(tp).unwrap().size as usize;
             prop_assert_eq!(
                 ts.load_slice::<u8>(tp, size).unwrap(),
                 rs.load_slice::<u8>(rp, size).unwrap()

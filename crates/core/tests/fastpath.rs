@@ -101,11 +101,7 @@ fn eviction_during_write_does_not_strand_bytes() {
         let payload: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 251) as u8).collect();
         s.store_slice::<u8>(p, &payload).unwrap();
         // Force everything to the device, then read it back through fetches.
-        s.with_parts(|rt, mgr, proto| {
-            proto.release(rt, mgr, hetsim::DeviceId(0), None)?;
-            rt.join_dma(hetsim::DeviceId(0))
-        })
-        .unwrap();
+        s.release_to_device().unwrap();
         assert_eq!(
             s.load_slice::<u8>(p, 4 * 4096).unwrap(),
             payload,
@@ -204,11 +200,7 @@ fn apply(g: &Gmac, s: &gmac::Session, live: &mut Vec<gmac::SharedPtr>, op: &Op) 
             }
         }
         Op::Release => {
-            s.with_parts(|rt, mgr, proto| {
-                proto.release(rt, mgr, hetsim::DeviceId(0), None)?;
-                rt.join_dma(hetsim::DeviceId(0))
-            })
-            .unwrap();
+            s.release_to_device().unwrap();
         }
     }
     let _ = g;

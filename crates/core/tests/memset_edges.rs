@@ -118,8 +118,7 @@ fn whole_object_fill_after_kernel_style_invalidation() {
     let p = c.alloc(4 * BLOCK).unwrap();
     c.store_slice::<u8>(p, &vec![1u8; (4 * BLOCK) as usize])
         .unwrap();
-    c.with_parts(|rt, mgr, proto| proto.release(rt, mgr, hetsim::DeviceId(0), None))
-        .unwrap();
+    c.release_to_device().unwrap();
     let before = c.transfers().d2h_bytes;
     c.memset(p, 0x42, 4 * BLOCK).unwrap();
     assert_eq!(

@@ -14,7 +14,7 @@
 //! mmap backend bypass the instrumented lookup path entirely.
 
 use gmac::{Gmac, GmacConfig, Protocol};
-use hetsim::{Category, DeviceId, Platform};
+use hetsim::{Category, Platform};
 
 #[test]
 fn impossible_reservation_degrades_to_table_walk() {
@@ -72,8 +72,7 @@ fn downgraded_blocks_fault_again_on_next_access() {
             "mmap={mmap}: write on a Dirty block must not fault"
         );
         // Release downgrades the dirty block (flush to device, ReadOnly).
-        s.with_parts(|rt, mgr, proto| proto.release(rt, mgr, DeviceId(0), None))
-            .unwrap();
+        s.release_to_device().unwrap();
         v.write(2, 3).unwrap(); // downgraded block: must fault again
         assert_eq!(
             g.counters().faults_write,

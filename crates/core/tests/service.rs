@@ -15,7 +15,7 @@
 //!    execution. The service is wall-clock-only machinery, like
 //!    `sharding`/`tlb`/`async_dma`/`mmap_backing` before it.
 
-use gmac::error::AdmissionReason;
+use gmac::AdmissionReason;
 use gmac::{Gmac, GmacConfig, GmacError, Priority};
 use hetsim::{Category, DeviceId, Nanos, Platform};
 use std::sync::atomic::{AtomicBool, Ordering};

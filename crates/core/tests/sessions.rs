@@ -3,9 +3,9 @@
 //! coherence protocol.
 
 use gmac::{Gmac, GmacConfig, GmacError, Param, Protocol, SchedPolicy, Session};
-use hetsim::kernel::{read_f32_slice, write_f32_slice};
 use hetsim::{
-    Args, DeviceId, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
+    read_f32_slice, write_f32_slice, Args, DeviceId, DeviceMemory, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult,
 };
 use std::sync::Arc;
 
@@ -191,6 +191,25 @@ fn safe_alloc_translates_and_computes() {
 }
 
 #[test]
+fn freed_safe_alloc_range_is_reused() {
+    // `adsmSafeAlloc` places host ranges first-fit: a free returns the
+    // range, so an alloc/free loop reuses one address instead of walking
+    // the host reservation until it runs out.
+    let c = session(Protocol::Rolling);
+    let first = c.safe_alloc(8192).unwrap();
+    c.store::<u32>(first, 7).unwrap();
+    c.free(first).unwrap();
+    for _ in 0..100 {
+        let p = c.safe_alloc(8192).unwrap();
+        assert_eq!(p, first, "freed range reused");
+        // A reused range starts zeroed, like a fresh one.
+        assert_eq!(c.load::<u32>(p).unwrap(), 0);
+        c.store::<u32>(p, 7).unwrap();
+        c.free(p).unwrap();
+    }
+}
+
+#[test]
 fn unified_alloc_collides_on_second_gpu_then_safe_alloc_recovers() {
     // Two G280s share the same memory window: the first unified allocation
     // takes the host range, an allocation on the *other* device at the same
@@ -203,7 +222,7 @@ fn unified_alloc_collides_on_second_gpu_then_safe_alloc_recovers() {
     assert!(matches!(err, GmacError::AddressCollision(_)));
     // safe_alloc works on the second device.
     let b = c.safe_alloc_on(DeviceId(1), 1 << 20).unwrap();
-    assert_eq!(c.object_at(b).unwrap().device(), DeviceId(1));
+    assert_eq!(c.object_at(b).unwrap().device, 1);
 }
 
 #[test]
@@ -214,8 +233,8 @@ fn round_robin_spreads_objects() {
     gmac.set_sched_policy(SchedPolicy::RoundRobin);
     let a = c.alloc(4096).unwrap(); // dev 0, unified
     let b = c.safe_alloc(4096).unwrap(); // dev 1 via rotation
-    assert_eq!(c.object_at(a).unwrap().device(), DeviceId(0));
-    assert_eq!(c.object_at(b).unwrap().device(), DeviceId(1));
+    assert_eq!(c.object_at(a).unwrap().device, 0);
+    assert_eq!(c.object_at(b).unwrap().device, 1);
     // Mixing them in one kernel call is rejected.
     let err = c
         .call(

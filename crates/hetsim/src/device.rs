@@ -147,11 +147,6 @@ impl Device {
         &mut self.h2d
     }
 
-    /// Device-to-host DMA engine.
-    pub fn d2h_engine(&self) -> &Engine {
-        &self.d2h
-    }
-
     /// Device-to-host DMA engine, mutable.
     pub fn d2h_engine_mut(&mut self) -> &mut Engine {
         &mut self.d2h
@@ -164,11 +159,6 @@ impl Device {
             crate::stats::Direction::HostToDevice => &self.h2d,
             crate::stats::Direction::DeviceToHost => &self.d2h,
         }
-    }
-
-    /// Kernel execution engine.
-    pub fn exec_engine(&self) -> &Engine {
-        &self.exec
     }
 
     /// Kernel execution engine, mutable.

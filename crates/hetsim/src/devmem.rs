@@ -16,11 +16,6 @@ use std::collections::BTreeMap;
 pub struct DevAddr(pub u64);
 
 impl DevAddr {
-    /// Byte offset of this address relative to another.
-    pub fn offset_from(self, base: DevAddr) -> u64 {
-        self.0 - base.0
-    }
-
     /// Address advanced by `bytes`.
     // Named after pointer::add, which this models; an `Add` impl would read
     // as numeric addition at dozens of call sites.
@@ -38,7 +33,7 @@ impl std::fmt::Display for DevAddr {
 
 /// Allocation granularity of the device allocator (matches CUDA's 256-byte
 /// alignment on the G280 generation).
-pub const DEV_ALLOC_ALIGN: u64 = 256;
+pub(crate) const DEV_ALLOC_ALIGN: u64 = 256;
 
 /// Device physical memory: arena + allocator + live-allocation registry.
 #[derive(Debug)]
@@ -56,7 +51,7 @@ impl DeviceMemory {
     /// `base`.
     ///
     /// # Panics
-    /// Panics if `size` is zero or not aligned to [`DEV_ALLOC_ALIGN`].
+    /// Panics if `size` is zero or not aligned to 256 bytes.
     pub fn new(base: u64, size: u64) -> Self {
         assert!(
             size > 0 && size.is_multiple_of(DEV_ALLOC_ALIGN),
@@ -100,12 +95,6 @@ impl DeviceMemory {
         self.free.values().copied().max().unwrap_or(0)
     }
 
-    /// Number of disjoint free regions (1 when fully coalesced, 0 when
-    /// full).
-    pub fn free_region_count(&self) -> usize {
-        self.free.len()
-    }
-
     /// External fragmentation in `[0, 1]`: the fraction of free bytes *not*
     /// usable by a single worst-case allocation
     /// (`1 - largest_free_block / free_bytes`; 0 when nothing is free).
@@ -122,7 +111,7 @@ impl DeviceMemory {
         self.live.len()
     }
 
-    /// Allocates `size` bytes (rounded up to [`DEV_ALLOC_ALIGN`]) using
+    /// Allocates `size` bytes (rounded up to 256 bytes) using
     /// first-fit.
     ///
     /// # Errors
@@ -160,15 +149,6 @@ impl DeviceMemory {
             .ok_or(SimError::NotAnAllocation(addr.0))?;
         self.insert_free(off, len);
         Ok(())
-    }
-
-    /// Size of the live allocation starting at `addr`.
-    pub fn allocation_size(&self, addr: DevAddr) -> SimResult<u64> {
-        let off = self.offset_of(addr)?;
-        self.live
-            .get(&off)
-            .copied()
-            .ok_or(SimError::NotAnAllocation(addr.0))
     }
 
     /// Reads `out.len()` bytes starting at `addr`.
@@ -428,7 +408,7 @@ mod tests {
                 m.largest_free_block(),
                 regions.iter().copied().max().unwrap_or(0)
             );
-            assert_eq!(m.free_region_count(), regions.len());
+            assert_eq!(m.free.len(), regions.len());
             assert_eq!(m.free_bytes(), regions.iter().sum::<u64>());
             let expect = if m.free_bytes() == 0 {
                 0.0
@@ -466,7 +446,7 @@ mod tests {
             }
         }
         assert_eq!(m.largest_free_block(), 64 * 1024);
-        assert_eq!(m.free_region_count(), 1);
+        assert_eq!(m.free.len(), 1);
         assert_eq!(m.fragmentation(), 0.0);
     }
 
@@ -475,7 +455,7 @@ mod tests {
         let mut m = mem();
         let a = m.alloc(64 * 1024).unwrap();
         assert_eq!(m.largest_free_block(), 0);
-        assert_eq!(m.free_region_count(), 0);
+        assert_eq!(m.free.len(), 0);
         assert_eq!(m.fragmentation(), 0.0, "nothing free, nothing fragmented");
         m.free(a).unwrap();
         assert_eq!(m.largest_free_block(), 64 * 1024);
@@ -485,6 +465,6 @@ mod tests {
     fn allocation_size_is_rounded() {
         let mut m = mem();
         let a = m.alloc(100).unwrap();
-        assert_eq!(m.allocation_size(a).unwrap(), 256);
+        assert_eq!(m.live[&m.offset_of(a).unwrap()], 256);
     }
 }

@@ -133,11 +133,6 @@ impl SimFs {
     pub fn remove(&mut self, name: &str) -> Option<Vec<u8>> {
         self.files.remove(name)
     }
-
-    /// Names of all files (sorted).
-    pub fn file_names(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +195,7 @@ mod tests {
         let mut fs = SimFs::new();
         fs.create("a", vec![1]);
         fs.create("b", vec![2]);
-        let names: Vec<_> = fs.file_names().collect();
+        let names: Vec<_> = fs.files.keys().map(String::as_str).collect();
         assert_eq!(names, ["a", "b"]);
         assert_eq!(fs.remove("a"), Some(vec![1]));
         assert_eq!(fs.remove("a"), None);

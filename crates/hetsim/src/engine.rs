@@ -65,11 +65,6 @@ impl Engine {
         self.jobs
     }
 
-    /// True if the engine has no outstanding work at instant `now`.
-    pub fn idle_at(&self, now: TimePoint) -> bool {
-        self.busy_until <= now
-    }
-
     /// Reserves the engine for `dur`, starting no earlier than `now`.
     pub fn reserve(&mut self, now: TimePoint, dur: Nanos) -> Reservation {
         let start = now.max(self.busy_until);
@@ -127,9 +122,9 @@ mod tests {
     fn engine_becomes_idle_after_work_drains() {
         let mut e = Engine::new("gpu");
         e.reserve(t(0), Nanos::from_nanos(100));
-        assert!(!e.idle_at(t(50)));
-        assert!(e.idle_at(t(100)));
-        assert!(e.idle_at(t(200)));
+        assert!(e.busy_until > t(50));
+        assert!(e.busy_until <= t(100));
+        assert!(e.busy_until <= t(200));
     }
 
     #[test]

@@ -77,6 +77,12 @@ fn splitmix64(mut x: u64) -> u64 {
 /// per-op call counters that key them. Arm it with
 /// [`crate::Platform::arm_faults`]; disarm with
 /// [`crate::Platform::disarm_faults`].
+///
+/// A rule fires on the *n*-th call of its kind ([`Self::fail_nth`]) or on
+/// a seeded pseudo-random subset ([`Self::fail_seeded`]), keyed only on the
+/// per-op call ordinal since arming, so the same program under the same
+/// plan fails the same operations. A failpoint is consulted before the
+/// operation charges time or mutates state.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     rules: [Vec<Rule>; 3],

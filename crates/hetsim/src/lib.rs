@@ -9,13 +9,15 @@
 //! CUDA-style programming model (`cudart` crate) have real hardware-shaped
 //! behaviour to manage:
 //!
-//! * **device memory** with a real allocator ([`devmem`]),
+//! * **device memory** with a real allocator ([`DeviceMemory`]),
 //! * **DMA engines** whose transfers cost `latency + size/bandwidth` and can
-//!   run asynchronously, overlapping host compute ([`bandwidth`], [`engine`]),
+//!   run asynchronously, overlapping host compute ([`LinkModel`], [`Engine`]),
 //! * **kernels** that really execute (plain Rust over device memory) while
-//!   their duration follows a roofline model ([`kernel`], [`device`]),
-//! * **accounting** matching the paper's Figure 8 and Figure 10 ([`stats`]),
-//! * a **virtual clock** that makes every experiment reproducible ([`time`]).
+//!   their duration follows a roofline model ([`Kernel`], [`GpuSpec`]),
+//! * **accounting** matching the paper's Figure 8 and Figure 10
+//!   ([`TimeLedger`], [`TransferLedger`]),
+//! * a **virtual clock** that makes every experiment reproducible
+//!   ([`Nanos`], [`TimePoint`]).
 //!
 //! ```
 //! use hetsim::{Platform, CopyMode, DeviceId};
@@ -31,18 +33,19 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod bandwidth;
-pub mod device;
-pub mod devmem;
-pub mod disk;
-pub mod engine;
-pub mod error;
-pub mod faults;
-pub mod kernel;
-pub mod platform;
-pub mod stats;
-pub mod time;
+mod bandwidth;
+mod device;
+mod devmem;
+mod disk;
+mod engine;
+mod error;
+mod faults;
+mod kernel;
+mod platform;
+mod stats;
+mod time;
 
 pub use bandwidth::{BytesPerSec, LinkModel};
 pub use device::{Device, DeviceId, GpuSpec, StreamId};
@@ -51,10 +54,12 @@ pub use disk::{Disk, SimFs};
 pub use engine::Engine;
 pub use error::{SimError, SimResult};
 pub use faults::{FaultOp, FaultPlan};
-pub use kernel::{Args, Kernel, KernelArg, KernelProfile, LaunchDims};
+pub use kernel::{
+    read_f32_slice, write_f32_slice, Args, Kernel, KernelArg, KernelProfile, LaunchDims,
+};
 pub use platform::{
     CopyMode, CpuSpec, DeviceRef, FsRef, Platform, PlatformBuilder, TransfersRef,
     DEFAULT_DEVICE_BASE,
 };
-pub use stats::{Category, Direction, TimeLedger, TransferLedger};
-pub use time::{Clock, Nanos, TimePoint};
+pub use stats::{fmt_bytes, Category, Direction, TimeLedger, TransferLedger};
+pub use time::{Nanos, TimePoint};

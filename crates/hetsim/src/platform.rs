@@ -449,7 +449,8 @@ impl Platform {
     /// Arms `plan`'s failpoints: subsequent [`Self::dev_alloc`],
     /// [`Self::reserve_h2d`] and [`Self::commit_h2d`] calls consult it,
     /// with per-op call counters starting at zero. Replaces any previously
-    /// armed plan. See [`crate::faults`] for the determinism contract.
+    /// armed plan. See [`FaultPlan`](crate::FaultPlan) for the determinism
+    /// contract.
     pub fn arm_faults(&self, plan: crate::faults::FaultPlan) {
         *lock_ok(&self.faults) = Some(plan);
     }
@@ -672,14 +673,6 @@ impl Platform {
         };
         self.wait_for(r.end, Category::IoWrite);
         Ok(n)
-    }
-
-    /// Length of a simulated file.
-    ///
-    /// # Errors
-    /// [`SimError::FileNotFound`] when the file does not exist.
-    pub fn file_len(&self, name: &str) -> SimResult<u64> {
-        lock_ok(&self.io).fs.len(name)
     }
 }
 
@@ -989,7 +982,7 @@ mod tests {
         );
         p.file_write("out.dat", 0, &buf).unwrap();
         assert!(p.ledger().get(Category::IoWrite) > Nanos::ZERO);
-        assert_eq!(p.file_len("out.dat").unwrap(), 4096);
+        assert_eq!(p.fs().len("out.dat").unwrap(), 4096);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// A span of virtual time with nanosecond resolution.
 ///
 /// ```
-/// use hetsim::time::Nanos;
+/// use hetsim::Nanos;
 /// let t = Nanos::from_micros(3) + Nanos::from_nanos(500);
 /// assert_eq!(t.as_nanos(), 3_500);
 /// ```
@@ -63,16 +63,6 @@ impl Nanos {
     /// This duration expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// This duration expressed in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// This duration expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction.
@@ -219,7 +209,7 @@ impl fmt::Display for TimePoint {
 /// per accelerator shard) advance virtual time concurrently. Under a single
 /// thread the behaviour is bit-identical to the old `&mut self` clock.
 #[derive(Debug, Default)]
-pub struct Clock {
+pub(crate) struct Clock {
     ns: std::sync::atomic::AtomicU64,
 }
 
@@ -235,17 +225,17 @@ impl Clone for Clock {
 
 impl Clock {
     /// A clock at simulation start.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current virtual instant.
-    pub fn now(&self) -> TimePoint {
+    pub(crate) fn now(&self) -> TimePoint {
         TimePoint::from_nanos(self.ns.load(std::sync::atomic::Ordering::SeqCst))
     }
 
     /// Advances the clock by `dur` and returns the new instant.
-    pub fn advance(&self, dur: Nanos) -> TimePoint {
+    pub(crate) fn advance(&self, dur: Nanos) -> TimePoint {
         let prev = self
             .ns
             .fetch_add(dur.as_nanos(), std::sync::atomic::Ordering::SeqCst);
@@ -258,7 +248,7 @@ impl Clock {
     /// The atomic-max implementation returns exactly the clock movement this
     /// call caused: if another thread advanced the clock past `t` first, the
     /// wait is free.
-    pub fn wait_until(&self, t: TimePoint) -> Nanos {
+    pub(crate) fn wait_until(&self, t: TimePoint) -> Nanos {
         let prev = self
             .ns
             .fetch_max(t.as_nanos(), std::sync::atomic::Ordering::SeqCst);

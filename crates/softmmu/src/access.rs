@@ -189,7 +189,8 @@ mod tests {
     #[test]
     fn typed_roundtrip_all_types() {
         let mut vm = AddressSpace::new();
-        let (_, a) = vm.map_anywhere(4096, Protection::ReadWrite).unwrap();
+        let a = VAddr(0x2_0000_0000);
+        vm.map_fixed(a, 4096, Protection::ReadWrite).unwrap();
         vm.store::<u8>(a, 0xAB).unwrap();
         assert_eq!(vm.load::<u8>(a).unwrap(), 0xAB);
         vm.store::<i16>(a, -5).unwrap();
@@ -207,7 +208,8 @@ mod tests {
     #[test]
     fn slice_roundtrip_across_pages() {
         let mut vm = AddressSpace::new();
-        let (_, a) = vm.map_anywhere(8192, Protection::ReadWrite).unwrap();
+        let a = VAddr(0x2_0000_0000);
+        vm.map_fixed(a, 8192, Protection::ReadWrite).unwrap();
         let data: Vec<f32> = (0..1500).map(|i| i as f32 * 0.5).collect();
         vm.store_slice(a + 100, &data).unwrap(); // spans both pages
         assert_eq!(vm.load_slice::<f32>(a + 100, 1500).unwrap(), data);
@@ -216,7 +218,8 @@ mod tests {
     #[test]
     fn typed_access_respects_protection() {
         let mut vm = AddressSpace::new();
-        let (_, a) = vm.map_anywhere(4096, Protection::ReadOnly).unwrap();
+        let a = VAddr(0x2_0000_0000);
+        vm.map_fixed(a, 4096, Protection::ReadOnly).unwrap();
         assert!(vm.load::<u32>(a).is_ok());
         assert!(vm.store::<u32>(a, 1).is_err());
     }

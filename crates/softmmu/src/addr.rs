@@ -7,10 +7,10 @@ use std::ops::{Add, Sub};
 pub const PAGE_SIZE: u64 = 4096;
 
 /// log2 of [`PAGE_SIZE`].
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// Width of the simulated virtual address space (48-bit canonical x86-64).
-pub const VADDR_BITS: u32 = 48;
+pub(crate) const VADDR_BITS: u32 = 48;
 
 /// Highest valid virtual address + 1.
 pub const VADDR_LIMIT: u64 = 1 << VADDR_BITS;
@@ -115,7 +115,7 @@ impl fmt::Display for VPage {
 }
 
 /// Iterates over the pages covering `[addr, addr + len)`.
-pub fn pages_covering(addr: VAddr, len: u64) -> impl Iterator<Item = VPage> {
+pub(crate) fn pages_covering(addr: VAddr, len: u64) -> impl Iterator<Item = VPage> {
     let first = addr.page().0;
     let last = if len == 0 {
         first

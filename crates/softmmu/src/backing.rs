@@ -50,14 +50,14 @@ use crate::sys;
 /// log2 of the chunk size (1 GiB).
 const CHUNK_SHIFT: u32 = 30;
 /// Granularity of the sim→host assignment.
-pub const CHUNK_SIZE: u64 = 1 << CHUNK_SHIFT;
+pub(crate) const CHUNK_SIZE: u64 = 1 << CHUNK_SHIFT;
 /// Number of chunks covering the 48-bit simulated space.
 const SIM_CHUNKS: usize = (VADDR_LIMIT >> CHUNK_SHIFT) as usize;
 /// Sentinel: sim chunk has no host chunk assigned yet.
 const UNASSIGNED: u32 = u32::MAX;
 
 /// Real memory behind the address space: one memfd, two views.
-pub struct MmapBacking {
+pub(crate) struct MmapBacking {
     fd: i32,
     user: *mut u8,
     runtime: *mut u8,
@@ -95,7 +95,7 @@ impl MmapBacking {
     /// simulated page geometry would not line up with real `mprotect`) or
     /// when any of the host calls fail — the caller degrades to the
     /// table-walk backend.
-    pub fn new(reserve: u64) -> MmuResult<Self> {
+    pub(crate) fn new(reserve: u64) -> MmuResult<Self> {
         let host_page = sys::page_size()?;
         if host_page != PAGE_SIZE {
             // Real mprotect could not express 4 KiB-granular transitions.
@@ -143,13 +143,13 @@ impl MmapBacking {
     }
 
     /// Bytes reserved (chunk-rounded).
-    pub fn reserve_len(&self) -> u64 {
+    pub(crate) fn reserve_len(&self) -> u64 {
         self.reserve
     }
 
     /// Base address of the protection-managed user view (diagnostics and
     /// the `/proc/self/maps` protection tests).
-    pub fn user_base(&self) -> *const u8 {
+    pub(crate) fn user_base(&self) -> *const u8 {
         self.user
     }
 
@@ -159,7 +159,7 @@ impl MmapBacking {
     /// [`MmuError::OutOfVirtualSpace`] when the reservation is exhausted;
     /// already-assigned chunks are kept (assignments are permanent, pages
     /// are reclaimed by hole-punching instead).
-    pub fn ensure_backed(&mut self, addr: VAddr, len: u64) -> MmuResult<()> {
+    pub(crate) fn ensure_backed(&mut self, addr: VAddr, len: u64) -> MmuResult<()> {
         let first = (addr.0 >> CHUNK_SHIFT) as usize;
         let last = ((addr.0 + len - 1) >> CHUNK_SHIFT) as usize;
         // Validate before assigning so failure leaves no half state.
@@ -216,7 +216,7 @@ impl MmapBacking {
 
     /// True when the whole backed range is one host-contiguous span — the
     /// precondition for handing out a raw fast-path pointer.
-    pub fn is_contiguous(&self, addr: VAddr, len: u64) -> bool {
+    pub(crate) fn is_contiguous(&self, addr: VAddr, len: u64) -> bool {
         self.spans(addr, len).nth(1).is_none()
     }
 
@@ -224,7 +224,7 @@ impl MmapBacking {
     /// zero-instrumentation fast path). The pointer is valid until the
     /// backing is dropped; dereferencing is subject to the *real* page
     /// protection driven by [`Self::protect_user`].
-    pub fn user_ptr(&self, addr: VAddr) -> *mut u8 {
+    pub(crate) fn user_ptr(&self, addr: VAddr) -> *mut u8 {
         // SAFETY: host_offset is within the reservation by construction.
         unsafe { self.user.add(self.host_offset(addr) as usize) }
     }
@@ -235,7 +235,7 @@ impl MmapBacking {
     /// # Errors
     /// [`MmuError::HostMmap`] if the kernel rejects the call (e.g. VMA
     /// exhaustion); the simulated page table remains authoritative.
-    pub fn protect_user(&self, addr: VAddr, len: u64, prot: Protection) -> MmuResult<()> {
+    pub(crate) fn protect_user(&self, addr: VAddr, len: u64, prot: Protection) -> MmuResult<()> {
         let start = addr.page_down();
         let len = (addr + len).page_up() - start;
         for (off, n) in self.spans(start, len) {
@@ -254,7 +254,7 @@ impl MmapBacking {
     /// [`MmuError::HostMmap`] only if re-protection fails; a failed hole
     /// punch falls back to zeroing through the runtime view so the
     /// fresh-allocation-reads-zero invariant survives.
-    pub fn discard(&mut self, addr: VAddr, len: u64) -> MmuResult<()> {
+    pub(crate) fn discard(&mut self, addr: VAddr, len: u64) -> MmuResult<()> {
         let start = addr.page_down();
         let len = (addr + len).page_up() - start;
         for (off, n) in self.spans(start, len) {
@@ -269,7 +269,7 @@ impl MmapBacking {
     // ----- runtime-view copies ("kernel mode") ------------------------------
 
     /// Copies a backed range out through the runtime view.
-    pub fn copy_out(&self, addr: VAddr, out: &mut [u8]) {
+    pub(crate) fn copy_out(&self, addr: VAddr, out: &mut [u8]) {
         let mut done = 0usize;
         for (off, n) in self.spans(addr, out.len() as u64) {
             // SAFETY: in-bounds span of the runtime view; destination is a
@@ -286,7 +286,7 @@ impl MmapBacking {
     }
 
     /// Copies into a backed range through the runtime view.
-    pub fn copy_in(&self, addr: VAddr, src: &[u8]) {
+    pub(crate) fn copy_in(&self, addr: VAddr, src: &[u8]) {
         let mut done = 0usize;
         for (off, n) in self.spans(addr, src.len() as u64) {
             // SAFETY: in-bounds span of the runtime view; source is a
@@ -303,7 +303,7 @@ impl MmapBacking {
     }
 
     /// Appends `len` bytes of a backed range to `out` without zero-filling.
-    pub fn append_to(&self, addr: VAddr, len: u64, out: &mut Vec<u8>) {
+    pub(crate) fn append_to(&self, addr: VAddr, len: u64, out: &mut Vec<u8>) {
         out.reserve(len as usize);
         for (off, n) in self.spans(addr, len) {
             let at = out.len();
@@ -322,7 +322,7 @@ impl MmapBacking {
     }
 
     /// Fills a backed range with `value` through the runtime view.
-    pub fn fill(&self, addr: VAddr, value: u8, len: u64) {
+    pub(crate) fn fill(&self, addr: VAddr, value: u8, len: u64) {
         for (off, n) in self.spans(addr, len) {
             // SAFETY: in-bounds span of the runtime view.
             unsafe { std::ptr::write_bytes(self.runtime.add(off as usize), value, n as usize) };
@@ -343,7 +343,7 @@ impl MmapBacking {
 
     /// Borrowed runtime-view bytes of a backed range, or `None` unless it is
     /// one host-contiguous span (the bulk paths' zero-copy view).
-    pub fn span(&self, addr: VAddr, len: u64) -> Option<&[u8]> {
+    pub(crate) fn span(&self, addr: VAddr, len: u64) -> Option<&[u8]> {
         if !self.one_span(addr, len) {
             return None;
         }
@@ -357,7 +357,7 @@ impl MmapBacking {
     }
 
     /// Mutable runtime-view bytes of a host-contiguous backed range.
-    pub fn span_mut(&mut self, addr: VAddr, len: u64) -> Option<&mut [u8]> {
+    pub(crate) fn span_mut(&mut self, addr: VAddr, len: u64) -> Option<&mut [u8]> {
         if !self.one_span(addr, len) {
             return None;
         }
@@ -369,7 +369,7 @@ impl MmapBacking {
     /// `memmove`s `len` bytes from `src` to `dst` inside the runtime view
     /// when both ranges are backed host-contiguous spans; returns `false`
     /// (copying nothing) otherwise.
-    pub fn copy_within(&mut self, src: VAddr, dst: VAddr, len: u64) -> bool {
+    pub(crate) fn copy_within(&mut self, src: VAddr, dst: VAddr, len: u64) -> bool {
         if !(self.one_span(src, len) && self.one_span(dst, len)) {
             return false;
         }
@@ -390,7 +390,7 @@ impl MmapBacking {
     /// access path; a scalar never crosses a chunk because chunks are
     /// page-aligned and scalars are power-of-two sized ≤ 8).
     #[inline]
-    pub fn bytes(&self, addr: VAddr, len: usize) -> &[u8] {
+    pub(crate) fn bytes(&self, addr: VAddr, len: usize) -> &[u8] {
         debug_assert!(len as u64 <= CHUNK_SIZE - (addr.0 & (CHUNK_SIZE - 1)));
         // SAFETY: in-bounds intra-chunk range of the runtime view, borrowed
         // at `&self` lifetime; mutation goes through `&self` raw copies too,
@@ -402,7 +402,7 @@ impl MmapBacking {
 
     /// Mutable runtime-view bytes of an intra-chunk range.
     #[inline]
-    pub fn bytes_mut(&mut self, addr: VAddr, len: usize) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self, addr: VAddr, len: usize) -> &mut [u8] {
         debug_assert!(len as u64 <= CHUNK_SIZE - (addr.0 & (CHUNK_SIZE - 1)));
         // SAFETY: as `bytes`, with exclusive access through `&mut self`.
         unsafe {

@@ -4,7 +4,7 @@ use crate::addr::PAGE_SIZE;
 
 /// Index of a physical frame in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FrameId(u32);
+pub(crate) struct FrameId(u32);
 
 impl FrameId {
     /// Placeholder for page-table entries on the mmap backing, where bytes
@@ -15,19 +15,19 @@ impl FrameId {
 
 /// System-memory frame storage with a free list.
 #[derive(Debug, Default)]
-pub struct FrameArena {
+pub(crate) struct FrameArena {
     frames: Vec<Option<Box<[u8]>>>,
     free: Vec<u32>,
 }
 
 impl FrameArena {
     /// Creates an empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Allocates a zeroed frame.
-    pub fn alloc(&mut self) -> FrameId {
+    pub(crate) fn alloc(&mut self) -> FrameId {
         if let Some(idx) = self.free.pop() {
             self.frames[idx as usize] = Some(zeroed_frame());
             FrameId(idx)
@@ -41,7 +41,7 @@ impl FrameArena {
     ///
     /// # Panics
     /// Panics if the frame was already free (double free is a runtime bug).
-    pub fn free(&mut self, id: FrameId) {
+    pub(crate) fn free(&mut self, id: FrameId) {
         let slot = &mut self.frames[id.0 as usize];
         assert!(slot.is_some(), "double free of frame {id:?}");
         *slot = None;
@@ -52,7 +52,7 @@ impl FrameArena {
     ///
     /// # Panics
     /// Panics on a freed or out-of-range frame id.
-    pub fn bytes(&self, id: FrameId) -> &[u8] {
+    pub(crate) fn bytes(&self, id: FrameId) -> &[u8] {
         self.frames[id.0 as usize]
             .as_deref()
             .expect("use of freed frame")
@@ -62,15 +62,10 @@ impl FrameArena {
     ///
     /// # Panics
     /// Panics on a freed or out-of-range frame id.
-    pub fn bytes_mut(&mut self, id: FrameId) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self, id: FrameId) -> &mut [u8] {
         self.frames[id.0 as usize]
             .as_deref_mut()
             .expect("use of freed frame")
-    }
-
-    /// Number of live frames.
-    pub fn live_frames(&self) -> usize {
-        self.frames.len() - self.free.len()
     }
 }
 
@@ -88,7 +83,7 @@ mod tests {
         let f = a.alloc();
         assert!(a.bytes(f).iter().all(|&b| b == 0));
         assert_eq!(a.bytes(f).len(), PAGE_SIZE as usize);
-        assert_eq!(a.live_frames(), 1);
+        assert_eq!(a.frames.len() - a.free.len(), 1);
     }
 
     #[test]
@@ -97,7 +92,7 @@ mod tests {
         let f = a.alloc();
         a.bytes_mut(f)[0] = 0xFF;
         a.free(f);
-        assert_eq!(a.live_frames(), 0);
+        assert_eq!(a.frames.len() - a.free.len(), 0);
         let g = a.alloc();
         assert_eq!(g, f, "free list reuses the slot");
         assert_eq!(a.bytes(g)[0], 0, "recycled frames are zeroed");

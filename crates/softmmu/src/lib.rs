@@ -7,7 +7,7 @@
 //!
 //! * a 48-bit virtual [`AddressSpace`] with `mmap(MAP_FIXED)` / anonymous
 //!   mapping / `mprotect` equivalents backed by a real 4-level radix
-//!   [`table::PageTable`],
+//!   page table,
 //! * per-page [`Protection`] checked on every access,
 //! * [`Fault`] values standing in for `SIGSEGV`: the GMAC runtime resolves
 //!   the fault (protocol transition + permission change) and retries, exactly
@@ -28,16 +28,16 @@
 //! * [`AddressSpace::new_mmap`] — the **mmap** backend (Linux): the paper's
 //!   actual mechanism. Real host memory is reserved `PROT_NONE` up front
 //!   and committed/re-protected with real `mprotect` as regions are mapped
-//!   (see [`backing`]). The software page table stays authoritative for
+//!   (`backing.rs`). The software page table stays authoritative for
 //!   checked access and fault reporting, but accessible ranges can hand out
 //!   raw host pointers ([`AddressSpace::fast_base`]) so a hot scalar access
 //!   is a plain load/store with **zero instrumentation** on the hit path.
 //!
 //! ## TLB generation invariant
 //!
-//! Every page-table mutation (`map_fixed`, `map_anywhere`, `unmap_region`,
-//! `protect`) bumps an internal generation counter; TLB entries are stamped
-//! at fill time and only hit while their stamp matches. A stale entry after
+//! Every page-table mutation (`map_fixed`, `unmap_region`, `protect`) bumps
+//! an internal generation counter; TLB entries are stamped at fill time and
+//! only hit while their stamp matches. A stale entry after
 //! an `mprotect` downgrade therefore never lets an access slip through: the
 //! probe misses, the radix walk observes the new permissions, and the access
 //! faults exactly as it would uncached. `AddressSpace::set_tlb_enabled(false)`
@@ -62,22 +62,23 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::missing_safety_doc)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod access;
-pub mod addr;
-pub mod backing;
-pub mod fault;
-pub mod frame;
-pub mod prot;
-pub mod space;
-pub mod sys;
-pub mod table;
+mod access;
+mod addr;
+mod backing;
+mod fault;
+mod frame;
+mod prot;
+mod space;
+mod sys;
+mod table;
 
 pub use access::{as_bytes, decode_with, from_bytes, to_bytes, Scalar};
-pub use addr::{pages_covering, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE, VADDR_LIMIT};
+pub use addr::{VAddr, VPage, PAGE_SIZE, VADDR_LIMIT};
 pub use fault::{Fault, MmuError, MmuResult};
 pub use prot::{AccessKind, Protection};
 pub use space::{AddressSpace, Region, RegionId};

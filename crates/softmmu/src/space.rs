@@ -44,10 +44,6 @@ impl Region {
     }
 }
 
-/// Base of the area used by anonymous (`map_anywhere`) mappings, chosen away
-/// from the device windows used by the unified-address trick.
-const MMAP_BASE: u64 = 0x7000_0000_0000;
-
 /// Number of entries in the software TLB (direct-mapped, power of two).
 const TLB_ENTRIES: usize = 64;
 
@@ -156,7 +152,6 @@ pub struct AddressSpace {
     /// pointer can actually observe it (see [`Self::fast_base`]).
     armed: BTreeMap<u64, u64>,
     next_id: u64,
-    mmap_cursor: u64,
     faults_observed: u64,
     tlb: Tlb,
 }
@@ -177,7 +172,6 @@ impl AddressSpace {
             regions: BTreeMap::new(),
             armed: BTreeMap::new(),
             next_id: 1,
-            mmap_cursor: MMAP_BASE,
             faults_observed: 0,
             tlb: Tlb::new(),
         }
@@ -201,7 +195,6 @@ impl AddressSpace {
             regions: BTreeMap::new(),
             armed: BTreeMap::new(),
             next_id: 1,
-            mmap_cursor: MMAP_BASE,
             faults_observed: 0,
             tlb: Tlb::new(),
         })
@@ -217,7 +210,7 @@ impl AddressSpace {
     /// for a fully mapped, host-contiguous range. Dereferencing is subject
     /// to the *real* page protection (driven by [`Self::protect`]) and to
     /// the mapping's lifetime; see the safety invariants in
-    /// [`crate::backing`].
+    /// `backing.rs`.
     ///
     /// Handing out the pointer **arms** the range: its real user-view
     /// protection is materialized from the page table now, and every later
@@ -321,11 +314,6 @@ impl AddressSpace {
         self.tlb.invalidate();
     }
 
-    /// Whether the TLB is enabled.
-    pub fn tlb_enabled(&self) -> bool {
-        self.tlb.enabled
-    }
-
     /// Translations served from the TLB without walking the radix table.
     pub fn tlb_hits(&self) -> u64 {
         self.tlb.hits.get()
@@ -335,12 +323,6 @@ impl AddressSpace {
     /// as misses too; with the TLB disabled neither counter moves).
     pub fn tlb_misses(&self) -> u64 {
         self.tlb.misses.get()
-    }
-
-    /// Current TLB generation (bumped by every `map`/`protect`/`unmap`; test
-    /// hook for the invalidation invariant).
-    pub fn tlb_generation(&self) -> u64 {
-        self.tlb.generation
     }
 
     /// Cached page translation: TLB probe first, radix walk + fill on a
@@ -480,36 +462,6 @@ impl AddressSpace {
         // TLB invariant: any page-table mutation bumps the generation.
         self.tlb.invalidate();
         Ok(id)
-    }
-
-    /// Maps `len` bytes at a kernel-chosen address (like anonymous `mmap`),
-    /// the fallback behind `adsmSafeAlloc`.
-    ///
-    /// # Errors
-    /// Fails when the virtual address space is exhausted.
-    pub fn map_anywhere(&mut self, len: u64, prot: Protection) -> MmuResult<(RegionId, VAddr)> {
-        if len == 0 {
-            return Err(MmuError::BadLength);
-        }
-        let len_rounded = VAddr(len).page_up().0;
-        // Bump allocation with a guard page between regions; the 48-bit space
-        // is large enough that reuse is unnecessary for simulation lifetimes.
-        let mut addr = VAddr(self.mmap_cursor);
-        while self.overlaps(addr, len_rounded) {
-            let next = self
-                .regions
-                .range(addr.0..)
-                .next()
-                .map(|(_, r)| r.end().page_up() + PAGE_SIZE)
-                .ok_or(MmuError::OutOfVirtualSpace)?;
-            addr = next;
-        }
-        if addr.0 + len_rounded > VADDR_LIMIT {
-            return Err(MmuError::OutOfVirtualSpace);
-        }
-        let id = self.map_fixed(addr, len_rounded, prot)?;
-        self.mmap_cursor = (addr + len_rounded + PAGE_SIZE).0;
-        Ok((id, addr))
     }
 
     /// Unmaps a region, releasing its frames.
@@ -931,16 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn map_anywhere_finds_space() {
-        let mut vm = AddressSpace::new();
-        let (id1, a1) = vm.map_anywhere(10 * PAGE_SIZE, RW).unwrap();
-        let (id2, a2) = vm.map_anywhere(PAGE_SIZE, RW).unwrap();
-        assert_ne!(id1, id2);
-        assert!(a2.0 >= a1.0 + 10 * PAGE_SIZE);
-        vm.write_bytes(a2, &[9]).unwrap();
-    }
-
-    #[test]
     fn unmap_releases_frames_and_addresses() {
         let mut vm = AddressSpace::new();
         let a = VAddr(0x5000_0000);
@@ -1098,7 +1040,7 @@ mod tests {
         let mut vm = AddressSpace::new();
         let a = VAddr(0x2_0000_0000);
         vm.map_fixed(a, PAGE_SIZE, RW).unwrap();
-        assert!(vm.tlb_enabled());
+        assert!(vm.tlb.enabled);
         vm.check(a, 4, AccessKind::Read).unwrap(); // miss + fill
         let (h0, m0) = (vm.tlb_hits(), vm.tlb_misses());
         assert_eq!(m0, 1);
@@ -1116,9 +1058,9 @@ mod tests {
         let a = VAddr(0x2_0000_0000);
         vm.map_fixed(a, PAGE_SIZE, RW).unwrap();
         vm.write_bytes(a, &[1]).unwrap(); // caches the RW translation
-        let gen_before = vm.tlb_generation();
+        let gen_before = vm.tlb.generation;
         vm.protect(a, PAGE_SIZE, RO).unwrap();
-        assert!(vm.tlb_generation() > gen_before, "protect bumps generation");
+        assert!(vm.tlb.generation > gen_before, "protect bumps generation");
         assert!(matches!(vm.write_bytes(a, &[2]), Err(MmuError::Fault(_))));
         assert_eq!(vm.faults_observed(), 1);
         // And a stale entry after unmap must report Unmapped, not read a

@@ -15,11 +15,11 @@
 use crate::fault::MmuError;
 
 /// Pages are inaccessible (`PROT_NONE`).
-pub const PROT_NONE: i32 = 0;
+pub(crate) const PROT_NONE: i32 = 0;
 /// Pages are readable (`PROT_READ`).
-pub const PROT_READ: i32 = 1;
+pub(crate) const PROT_READ: i32 = 1;
 /// Pages are writable (`PROT_WRITE`).
-pub const PROT_WRITE: i32 = 2;
+pub(crate) const PROT_WRITE: i32 = 2;
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -64,7 +64,7 @@ mod imp {
     }
 
     /// Host page size as reported by `sysconf(_SC_PAGESIZE)`.
-    pub fn page_size() -> Result<u64, MmuError> {
+    pub(crate) fn page_size() -> Result<u64, MmuError> {
         // SAFETY: sysconf has no memory-safety preconditions.
         let n = unsafe { sysconf(_SC_PAGESIZE) };
         if n <= 0 {
@@ -76,7 +76,7 @@ mod imp {
 
     /// Creates an anonymous tmpfs file of `len` bytes (sparse — pages are
     /// allocated only when touched).
-    pub fn memfd(len: u64) -> Result<i32, MmuError> {
+    pub(crate) fn memfd(len: u64) -> Result<i32, MmuError> {
         // SAFETY: the name is a NUL-terminated static string; memfd_create
         // copies it and takes no ownership.
         let fd = unsafe { memfd_create(c"softmmu".as_ptr().cast(), MFD_CLOEXEC) };
@@ -103,7 +103,7 @@ mod imp {
     }
 
     /// Maps a full-length shared view of `fd` at a kernel-chosen address.
-    pub fn map_view(fd: i32, len: u64, prot: i32) -> Result<*mut u8, MmuError> {
+    pub(crate) fn map_view(fd: i32, len: u64, prot: i32) -> Result<*mut u8, MmuError> {
         // SAFETY: NULL hint + valid owned fd + in-bounds length; the kernel
         // picks the placement, so no existing mapping can be clobbered.
         let p = unsafe {
@@ -128,7 +128,7 @@ mod imp {
     /// # Safety
     /// `[ptr, ptr+len)` must lie inside a mapping owned by the caller; no
     /// Rust reference may alias pages being downgraded.
-    pub unsafe fn protect(ptr: *mut u8, len: u64, prot: i32) -> Result<(), MmuError> {
+    pub(crate) unsafe fn protect(ptr: *mut u8, len: u64, prot: i32) -> Result<(), MmuError> {
         // SAFETY: forwarded preconditions.
         if unsafe { mprotect(ptr.cast(), len as usize, prot) } != 0 {
             Err(err("mprotect"))
@@ -142,7 +142,7 @@ mod imp {
     /// # Safety
     /// The range must be an exact mapping owned by the caller with no live
     /// references into it.
-    pub unsafe fn unmap(ptr: *mut u8, len: u64) {
+    pub(crate) unsafe fn unmap(ptr: *mut u8, len: u64) {
         // SAFETY: forwarded preconditions. Failure is unrecoverable and only
         // leaks address space, so it is ignored (Drop context).
         unsafe {
@@ -152,7 +152,7 @@ mod imp {
 
     /// Punches a hole in `fd` at `[offset, offset+len)`: the pages are freed
     /// back to the kernel and read as zeroes when next touched.
-    pub fn punch_hole(fd: i32, offset: u64, len: u64) -> Result<(), MmuError> {
+    pub(crate) fn punch_hole(fd: i32, offset: u64, len: u64) -> Result<(), MmuError> {
         // SAFETY: valid owned fd; fallocate has no memory-safety
         // preconditions.
         let rc = unsafe {
@@ -171,7 +171,7 @@ mod imp {
     }
 
     /// Closes an owned file descriptor.
-    pub fn close_fd(fd: i32) {
+    pub(crate) fn close_fd(fd: i32) {
         // SAFETY: the caller owns fd and never reuses it after this call.
         unsafe {
             let _ = close(fd);
@@ -227,7 +227,7 @@ mod imp {
     pub fn close_fd(_fd: i32) {}
 }
 
-pub use imp::{close_fd, map_view, memfd, page_size, protect, punch_hole, unmap};
+pub(crate) use imp::{close_fd, map_view, memfd, page_size, protect, punch_hole, unmap};
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {

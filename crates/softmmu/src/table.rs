@@ -12,7 +12,7 @@ const LEVEL_BITS: u32 = 9;
 
 /// A page-table entry: backing frame, permissions, owning region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pte {
+pub(crate) struct Pte {
     /// Backing physical frame.
     pub frame: FrameId,
     /// Current permissions (driven by the coherence protocol).
@@ -43,7 +43,7 @@ type L4 = Node<Box<L3>>;
 
 /// The radix page table.
 #[derive(Debug)]
-pub struct PageTable {
+pub(crate) struct PageTable {
     root: L4,
     mapped: u64,
 }
@@ -67,7 +67,7 @@ fn indices(page: VPage) -> [usize; 4] {
 
 impl PageTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageTable {
             root: Node::new(),
             mapped: 0,
@@ -75,12 +75,12 @@ impl PageTable {
     }
 
     /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> u64 {
+    pub(crate) fn mapped_pages(&self) -> u64 {
         self.mapped
     }
 
     /// Installs a mapping, returning the previous entry if one existed.
-    pub fn map(&mut self, page: VPage, pte: Pte) -> Option<Pte> {
+    pub(crate) fn map(&mut self, page: VPage, pte: Pte) -> Option<Pte> {
         let [i4, i3, i2, i1] = indices(page);
         let l3 = get_or_insert(&mut self.root, i4);
         let l2 = get_or_insert(l3, i3);
@@ -94,7 +94,7 @@ impl PageTable {
     }
 
     /// Removes a mapping, returning it. Empty intermediate nodes are pruned.
-    pub fn unmap(&mut self, page: VPage) -> Option<Pte> {
+    pub(crate) fn unmap(&mut self, page: VPage) -> Option<Pte> {
         let [i4, i3, i2, i1] = indices(page);
         let l3 = self.root.children[i4].as_mut()?;
         let l2 = l3.children[i3].as_mut()?;
@@ -119,7 +119,7 @@ impl PageTable {
     }
 
     /// Walks the table for `page`.
-    pub fn lookup(&self, page: VPage) -> Option<&Pte> {
+    pub(crate) fn lookup(&self, page: VPage) -> Option<&Pte> {
         let [i4, i3, i2, i1] = indices(page);
         self.root.children[i4].as_ref()?.children[i3]
             .as_ref()?
@@ -130,7 +130,7 @@ impl PageTable {
     }
 
     /// Walks the table for `page`, mutably.
-    pub fn lookup_mut(&mut self, page: VPage) -> Option<&mut Pte> {
+    pub(crate) fn lookup_mut(&mut self, page: VPage) -> Option<&mut Pte> {
         let [i4, i3, i2, i1] = indices(page);
         self.root.children[i4].as_mut()?.children[i3]
             .as_mut()?
@@ -141,7 +141,7 @@ impl PageTable {
     }
 
     /// Changes the protection of a mapped page; returns the old protection.
-    pub fn protect(&mut self, page: VPage, prot: Protection) -> Option<Protection> {
+    pub(crate) fn protect(&mut self, page: VPage, prot: Protection) -> Option<Protection> {
         let pte = self.lookup_mut(page)?;
         let old = pte.prot;
         pte.prot = prot;
@@ -161,6 +161,8 @@ fn get_or_insert<T>(node: &mut Node<Box<Node<T>>>, idx: usize) -> &mut Node<T> {
 mod tests {
     use super::*;
     use crate::frame::FrameArena;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn pte(arena: &mut FrameArena, prot: Protection) -> Pte {
         Pte {
@@ -251,5 +253,69 @@ mod tests {
         t.map(VPage(0x101), pte(&mut a, Protection::ReadOnly));
         assert_eq!(t.root.live, 1, "one L3 subtree serves both pages");
         assert_eq!(t.mapped_pages(), 2);
+    }
+
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Map(u64, Protection),
+        Unmap(u64),
+        Protect(u64, Protection),
+        Lookup(u64),
+    }
+
+    fn prot_strategy() -> impl Strategy<Value = Protection> {
+        prop_oneof![
+            Just(Protection::None),
+            Just(Protection::ReadOnly),
+            Just(Protection::ReadWrite),
+        ]
+    }
+
+    fn table_op() -> impl Strategy<Value = TableOp> {
+        // Confine pages to a small set so operations collide often.
+        let page = 0u64..64;
+        prop_oneof![
+            (page.clone(), prot_strategy()).prop_map(|(p, pr)| TableOp::Map(p, pr)),
+            page.clone().prop_map(TableOp::Unmap),
+            (page.clone(), prot_strategy()).prop_map(|(p, pr)| TableOp::Protect(p, pr)),
+            page.prop_map(TableOp::Lookup),
+        ]
+    }
+
+    proptest! {
+        /// The radix page table behaves exactly like a HashMap<page, pte>.
+        #[test]
+        fn page_table_matches_hashmap_model(ops in proptest::collection::vec(table_op(), 1..200)) {
+            let mut table = PageTable::new();
+            let mut model: HashMap<u64, Pte> = HashMap::new();
+            let mut arena = FrameArena::new();
+
+            for op in ops {
+                match op {
+                    TableOp::Map(p, prot) => {
+                        let pte = Pte { frame: arena.alloc(), prot, region: RegionId(p) };
+                        let got = table.map(VPage(p), pte);
+                        let want = model.insert(p, pte);
+                        prop_assert_eq!(got, want);
+                    }
+                    TableOp::Unmap(p) => {
+                        prop_assert_eq!(table.unmap(VPage(p)), model.remove(&p));
+                    }
+                    TableOp::Protect(p, prot) => {
+                        let got = table.protect(VPage(p), prot);
+                        let want = model.get_mut(&p).map(|e| {
+                            let old = e.prot;
+                            e.prot = prot;
+                            old
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                    TableOp::Lookup(p) => {
+                        prop_assert_eq!(table.lookup(VPage(p)).copied(), model.get(&p).copied());
+                    }
+                }
+                prop_assert_eq!(table.mapped_pages(), model.len() as u64);
+            }
+        }
     }
 }

@@ -1,74 +1,10 @@
-//! Property tests: the radix page table and the address space agree with
-//! simple reference models under arbitrary operation sequences.
+//! Property tests: the address space agrees with a flat reference buffer
+//! under arbitrary write sequences.
 
 use proptest::prelude::*;
-use softmmu::table::{PageTable, Pte};
-use softmmu::{AccessKind, AddressSpace, MmuError, Protection, VAddr, VPage, PAGE_SIZE};
-use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-enum TableOp {
-    Map(u64, Protection),
-    Unmap(u64),
-    Protect(u64, Protection),
-    Lookup(u64),
-}
-
-fn prot_strategy() -> impl Strategy<Value = Protection> {
-    prop_oneof![
-        Just(Protection::None),
-        Just(Protection::ReadOnly),
-        Just(Protection::ReadWrite),
-    ]
-}
-
-fn table_op() -> impl Strategy<Value = TableOp> {
-    // Confine pages to a small set so operations collide often.
-    let page = 0u64..64;
-    prop_oneof![
-        (page.clone(), prot_strategy()).prop_map(|(p, pr)| TableOp::Map(p, pr)),
-        page.clone().prop_map(TableOp::Unmap),
-        (page.clone(), prot_strategy()).prop_map(|(p, pr)| TableOp::Protect(p, pr)),
-        page.prop_map(TableOp::Lookup),
-    ]
-}
+use softmmu::{AccessKind, AddressSpace, MmuError, Protection, VAddr, PAGE_SIZE};
 
 proptest! {
-    /// The radix page table behaves exactly like a HashMap<page, pte>.
-    #[test]
-    fn page_table_matches_hashmap_model(ops in proptest::collection::vec(table_op(), 1..200)) {
-        let mut table = PageTable::new();
-        let mut model: HashMap<u64, Pte> = HashMap::new();
-        let mut arena = softmmu::frame::FrameArena::new();
-
-        for op in ops {
-            match op {
-                TableOp::Map(p, prot) => {
-                    let pte = Pte { frame: arena.alloc(), prot, region: softmmu::RegionId(p) };
-                    let got = table.map(VPage(p), pte);
-                    let want = model.insert(p, pte);
-                    prop_assert_eq!(got, want);
-                }
-                TableOp::Unmap(p) => {
-                    prop_assert_eq!(table.unmap(VPage(p)), model.remove(&p));
-                }
-                TableOp::Protect(p, prot) => {
-                    let got = table.protect(VPage(p), prot);
-                    let want = model.get_mut(&p).map(|e| {
-                        let old = e.prot;
-                        e.prot = prot;
-                        old
-                    });
-                    prop_assert_eq!(got, want);
-                }
-                TableOp::Lookup(p) => {
-                    prop_assert_eq!(table.lookup(VPage(p)).copied(), model.get(&p).copied());
-                }
-            }
-            prop_assert_eq!(table.mapped_pages(), model.len() as u64);
-        }
-    }
-
     /// Checked byte access agrees with a flat reference buffer, and never
     /// succeeds where protection forbids it.
     #[test]
@@ -101,20 +37,5 @@ proptest! {
         let mut out = vec![0u8; 4 * PAGE_SIZE as usize];
         vm.read_bytes(base, &mut out).unwrap();
         prop_assert_eq!(out, reference);
-    }
-
-    /// map_anywhere never hands out overlapping regions.
-    #[test]
-    fn map_anywhere_regions_disjoint(lens in proptest::collection::vec(1u64..100_000, 1..20)) {
-        let mut vm = AddressSpace::new();
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for len in lens {
-            let (_, addr) = vm.map_anywhere(len, Protection::ReadWrite).unwrap();
-            let end = addr.0 + VAddr(len).page_up().0;
-            for &(s, e) in &ranges {
-                prop_assert!(end <= s || addr.0 >= e, "regions overlap");
-            }
-            ranges.push((addr.0, end));
-        }
     }
 }

@@ -211,7 +211,7 @@ pub struct JobSpec {
     /// Approximate bytes the job touches (the service's fairness currency).
     pub bytes_hint: u64,
     /// Runs the workload's GMAC variant; returns its output digest.
-    pub job: gmac::service::JobFn,
+    pub job: gmac::JobFn,
 }
 
 impl fmt::Debug for JobSpec {

@@ -8,9 +8,9 @@
 use crate::common::{Digest, Workload, WorkloadResult};
 use cudart::Cuda;
 use gmac::{Param, Session, SharedPtr};
-use hetsim::kernel::{read_f32_slice, write_f32_slice};
 use hetsim::{
-    Args, DeviceId, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult, StreamId,
+    read_f32_slice, write_f32_slice, Args, DeviceId, DeviceMemory, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult, StreamId,
 };
 use softmmu::{from_bytes, to_bytes};
 use std::sync::Arc;

@@ -8,9 +8,9 @@
 //! [`Session`]: adsm::gmac::Session
 
 use adsm::gmac::{Gmac, GmacConfig, GmacError, Param};
-use adsm::hetsim::kernel::{read_f32_slice, write_f32_slice};
 use adsm::hetsim::{
-    Args, DeviceId, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
+    read_f32_slice, write_f32_slice, Args, DeviceId, DeviceMemory, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult,
 };
 use std::sync::Arc;
 

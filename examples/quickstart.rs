@@ -12,8 +12,10 @@
 //! [`Session`]: adsm::gmac::Session
 
 use adsm::gmac::{Gmac, GmacConfig, Param, Protocol};
-use adsm::hetsim::kernel::{read_f32_slice, write_f32_slice};
-use adsm::hetsim::{Args, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult};
+use adsm::hetsim::{
+    read_f32_slice, write_f32_slice, Args, DeviceMemory, Kernel, KernelProfile, LaunchDims,
+    Platform, SimResult,
+};
 use std::sync::Arc;
 
 /// A SAXPY kernel: `y[i] = a * x[i] + y[i]`.
@@ -85,8 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("virtual time      : {}", gmac.elapsed());
     println!(
         "transfers         : {} H2D, {} D2H",
-        adsm::hetsim::stats::fmt_bytes(gmac.transfers().h2d_bytes),
-        adsm::hetsim::stats::fmt_bytes(gmac.transfers().d2h_bytes)
+        adsm::hetsim::fmt_bytes(gmac.transfers().h2d_bytes),
+        adsm::hetsim::fmt_bytes(gmac.transfers().d2h_bytes)
     );
     println!("faults handled    : {}", gmac.counters().faults());
     println!("eager evictions   : {}", gmac.counters().eager_evictions);

@@ -11,8 +11,10 @@
 //! [`GmacError::Admission`]: adsm::gmac::GmacError::Admission
 
 use adsm::gmac::{Gmac, GmacConfig, GmacError, Param, Priority};
-use adsm::hetsim::kernel::{read_f32_slice, write_f32_slice};
-use adsm::hetsim::{Args, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult};
+use adsm::hetsim::{
+    read_f32_slice, write_f32_slice, Args, DeviceMemory, Kernel, KernelProfile, LaunchDims,
+    Platform, SimResult,
+};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{label:<32} time {:>10}   H2D {:>10}   D2H {:>10}",
             r.elapsed.to_string(),
-            adsm::hetsim::stats::fmt_bytes(r.transfers.h2d_bytes),
-            adsm::hetsim::stats::fmt_bytes(r.transfers.d2h_bytes),
+            adsm::hetsim::fmt_bytes(r.transfers.h2d_bytes),
+            adsm::hetsim::fmt_bytes(r.transfers.d2h_bytes),
         );
     }
 

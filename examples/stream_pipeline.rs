@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "streaming {} through two {} device buffers ({} chunks):",
-        adsm::hetsim::stats::fmt_bytes(w.total_bytes()),
-        adsm::hetsim::stats::fmt_bytes(w.chunk_bytes()),
+        adsm::hetsim::fmt_bytes(w.total_bytes()),
+        adsm::hetsim::fmt_bytes(w.chunk_bytes()),
         w.chunks,
     );
     println!();

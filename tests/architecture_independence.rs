@@ -7,9 +7,9 @@
 //! only the platform handle changes.
 
 use adsm::gmac::{Gmac, GmacConfig, Param, Protocol, SharedPtr};
-use adsm::hetsim::kernel::{read_f32_slice, write_f32_slice};
 use adsm::hetsim::{
-    Args, Category, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
+    read_f32_slice, write_f32_slice, Args, Category, DeviceMemory, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult,
 };
 use std::sync::Arc;
 

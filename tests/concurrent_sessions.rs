@@ -5,9 +5,9 @@
 //! still partitions every elapsed nanosecond.
 
 use adsm::gmac::{Gmac, GmacConfig, GmacError, Param, Protocol, Session};
-use adsm::hetsim::kernel::{read_f32_slice, write_f32_slice};
 use adsm::hetsim::{
-    Args, DeviceId, DeviceMemory, Kernel, KernelProfile, LaunchDims, Platform, SimResult,
+    read_f32_slice, write_f32_slice, Args, DeviceId, DeviceMemory, Kernel, KernelProfile,
+    LaunchDims, Platform, SimResult,
 };
 use adsm::workloads::Digest;
 use std::sync::Arc;

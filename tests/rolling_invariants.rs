@@ -30,7 +30,7 @@ proptest! {
             let off = block_idx * BLOCK;
             let len = len.min(64 * BLOCK - off);
             ctx.store_slice(obj.byte_add(off), &vec![0xABu8; len as usize]).unwrap();
-            let dirty = ctx.with_parts(|_, mgr, protocol| protocol.dirty_blocks(mgr));
+            let dirty = ctx.dirty_block_count();
             prop_assert!(
                 dirty <= rolling_size,
                 "dirty {} exceeds rolling size {}",
@@ -62,7 +62,7 @@ proptest! {
             model[off..off + BLOCK as usize].fill(value);
         }
         // Force everything to the device, then read it all back.
-        ctx.with_parts(|rt, mgr, protocol| protocol.release(rt, mgr, adsm::hetsim::DeviceId(0), None))
+        ctx.release_to_device()
             .unwrap();
         let got: Vec<u8> = ctx.load_slice(obj, (16 * BLOCK) as usize).unwrap();
         prop_assert_eq!(got, model);
@@ -87,7 +87,7 @@ fn adaptive_rolling_size_grows_with_allocations() {
         }
     }
     // 15 blocks dirtied; bound is 10.
-    let dirty = ctx.with_parts(|_, mgr, protocol| protocol.dirty_blocks(mgr));
+    let dirty = ctx.dirty_block_count();
     assert!(dirty <= 10, "adaptive bound violated: {dirty}");
     assert!(dirty > 0);
 }
