@@ -63,7 +63,7 @@ fn main() {
         let bv: Vec<f32> = (0..N).map(|i| i as f32 * 0.25).collect();
 
         // --- produce phase (H2D side: faults + eager evictions + call flush)
-        let copy0 = ctx.ledger().get(Category::Copy);
+        let copy0 = gmac.ledger().get(Category::Copy);
         ctx.store_slice(bufs.a, &av).expect("store a");
         ctx.store_slice(bufs.b, &bv).expect("store b");
         let params = [
@@ -74,24 +74,24 @@ fn main() {
         ];
         ctx.call("vecadd", LaunchDims::for_elements(N as u64, 256), &params)
             .expect("call");
-        let h2d_time = ctx.ledger().get(Category::Copy) - copy0;
+        let h2d_time = gmac.ledger().get(Category::Copy) - copy0;
 
         ctx.sync().expect("sync");
 
         // --- consume phase (D2H side: fetch-on-read of the output)
-        let copy1 = ctx.ledger().get(Category::Copy);
+        let copy1 = gmac.ledger().get(Category::Copy);
         let cv: Vec<f32> = ctx.load_slice(bufs.c, N).expect("load c");
         assert_eq!(cv[1234], 1234.0 * 0.75);
-        let d2h_time = ctx.ledger().get(Category::Copy) - copy1;
+        let d2h_time = gmac.ledger().get(Category::Copy) - copy1;
 
         t.row([
             gmac_bench::fmt_bytes(bs),
             fmt_secs(h2d_time.as_secs_f64()),
             fmt_secs(d2h_time.as_secs_f64()),
-            fmt_secs(ctx.elapsed().as_secs_f64()),
+            fmt_secs(gmac.elapsed().as_secs_f64()),
             link_h2d.attained_bandwidth(bs).to_string(),
             link_d2h.attained_bandwidth(bs).to_string(),
-            ctx.counters().faults().to_string(),
+            gmac.counters().faults().to_string(),
         ]);
     }
     body.push_str(&t.render());

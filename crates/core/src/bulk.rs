@@ -134,7 +134,7 @@ mod tests {
         let s = session(Protocol::Rolling); // 64 KiB blocks = 16 pages each
         let p = s.alloc(256 * 1024).unwrap(); // 4 blocks, 64 pages
         s.memcpy_in(p, &vec![1u8; 256 * 1024]).unwrap();
-        let faults = s.counters().faults();
+        let faults = s.gmac().counters().faults();
         assert_eq!(faults, 4, "one fault-equivalent per block, not 64 per page");
     }
 
@@ -145,12 +145,12 @@ mod tests {
         let s = session(Protocol::Rolling);
         let p = s.alloc(256 * 1024).unwrap();
         s.memset(p, 0x7F, 256 * 1024).unwrap();
-        assert_eq!(s.counters().faults(), 0);
-        assert_eq!(s.transfers().h2d_bytes, 0);
+        assert_eq!(s.gmac().counters().faults(), 0);
+        assert_eq!(s.gmac().transfers().h2d_bytes, 0);
         // Blocks are invalid: the first CPU read fetches the fill back.
         let v: u8 = s.load(p).unwrap();
         assert_eq!(v, 0x7F);
-        assert!(s.transfers().d2h_bytes > 0);
+        assert!(s.gmac().transfers().d2h_bytes > 0);
     }
 
     #[test]

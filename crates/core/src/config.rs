@@ -145,21 +145,13 @@ pub struct GmacConfig {
     pub lookup: LookupKind,
     /// Accelerator Abstraction Layer flavour.
     pub aal: AalLayer,
-    /// Shard the runtime per accelerator (the default): sessions driving
-    /// different devices take independent locks and genuinely overlap in
-    /// wall-clock time. `false` restores the PR-2-era *global-lock* mode —
-    /// every operation additionally serialises on one process-wide mutex —
-    /// kept as the ablation baseline. The two modes run identical code
-    /// paths, so results are byte-identical (the `toggles` test suite
-    /// enforces this); only wall-clock concurrency differs.
-    pub sharding: bool,
     /// Enable the access fast path (the default): the softmmu's
     /// direct-mapped TLB, each shard's one-entry object memo and the
     /// per-session route memo. `false` is the ablation baseline paying a
     /// full radix-table walk, manager search and registry route on every
     /// access. The caches are wall-clock-only: digests, virtual times and
     /// ledgers are **byte-identical** between modes (the `toggles` test
-    /// suite enforces this), mirroring [`GmacConfig::sharding`].
+    /// suite enforces this).
     pub tlb: bool,
     /// Execute host-to-device DMA jobs on background worker threads (the
     /// default): transfer plans are built and virtually charged under the
@@ -169,7 +161,7 @@ pub struct GmacConfig {
     /// same plan code paths. The engine is wall-clock-only: digests, virtual
     /// times and ledgers are **byte-identical** between modes (the `toggles`
     /// and `async_dma` test suites enforce this), mirroring
-    /// [`GmacConfig::sharding`] and [`GmacConfig::tlb`].
+    /// [`GmacConfig::tlb`].
     pub async_dma: bool,
     /// Back the unified address space with a real anonymous host mapping
     /// (the default, Linux): each shard's softmmu reserves
@@ -184,8 +176,7 @@ pub struct GmacConfig {
     /// and reports it via [`crate::Report::backing_downgraded`] — it never
     /// panics. The backend is wall-clock-only: digests, virtual times and
     /// ledgers are **byte-identical** between modes (the `toggles` test
-    /// suite enforces this), mirroring
-    /// [`GmacConfig::sharding`], [`GmacConfig::tlb`] and
+    /// suite enforces this), mirroring [`GmacConfig::tlb`] and
     /// [`GmacConfig::async_dma`].
     pub mmap_backing: bool,
     /// Host virtual address space (bytes) each shard's mmap backing reserves
@@ -203,8 +194,8 @@ pub struct GmacConfig {
     /// service is wall-clock-only: digests, virtual times and per-category
     /// ledgers are **byte-identical** between modes for a serialized run
     /// (the `service` ablation test enforces this), mirroring
-    /// [`GmacConfig::sharding`], [`GmacConfig::tlb`],
-    /// [`GmacConfig::async_dma`] and [`GmacConfig::mmap_backing`].
+    /// [`GmacConfig::tlb`], [`GmacConfig::async_dma`] and
+    /// [`GmacConfig::mmap_backing`].
     pub service: bool,
     /// Capacity (jobs) of the service layer's bounded fair queue; a full
     /// queue refuses further submissions with
@@ -269,7 +260,6 @@ impl Default for GmacConfig {
             coalescing: true,
             lookup: LookupKind::Tree,
             aal: AalLayer::Driver,
-            sharding: true,
             tlb: true,
             async_dma: true,
             mmap_backing: true,
@@ -340,13 +330,6 @@ impl GmacConfig {
     /// Selects the AAL flavour.
     pub fn aal(mut self, aal: AalLayer) -> Self {
         self.aal = aal;
-        self
-    }
-
-    /// Enables or disables the per-device sharded runtime (`false` =
-    /// global-lock ablation mode; see [`GmacConfig::sharding`]).
-    pub fn sharding(mut self, on: bool) -> Self {
-        self.sharding = on;
         self
     }
 
@@ -444,7 +427,6 @@ mod tests {
         );
         assert_eq!(c.rolling_size, None, "adaptive by default");
         assert!(c.coalescing, "transfer coalescing is the default behaviour");
-        assert!(c.sharding, "per-device sharding is the default behaviour");
         assert!(c.tlb, "the access fast path is the default behaviour");
         assert!(c.async_dma, "the background DMA engine is the default");
         assert!(
@@ -473,7 +455,6 @@ mod tests {
             .coalescing(false)
             .lookup(LookupKind::Linear)
             .aal(AalLayer::Runtime)
-            .sharding(false)
             .tlb(false)
             .async_dma(false)
             .mmap_backing(false)
@@ -492,7 +473,6 @@ mod tests {
         assert_eq!(c.host_capacity, Some(32 << 20));
         assert!(!c.service);
         assert_eq!(c.service_queue_depth, 16);
-        assert!(!c.sharding);
         assert!(!c.tlb);
         assert!(!c.async_dma);
         assert!(!c.mmap_backing);

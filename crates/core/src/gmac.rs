@@ -32,12 +32,6 @@
 //! sits between the shard tier and the platform leaves: shards submit and
 //! join under their own lock, while engine workers take only queue mutexes
 //! and one device mutex — never a shard.
-//!
-//! [`GmacConfig::sharding`]`(false)` restores the previous global-lock mode
-//! for ablation: every public operation additionally serialises on one
-//! process-wide mutex, running the *same* code paths, so results are
-//! byte-identical between modes — only wall-clock concurrency differs (see
-//! the `contention` benchmark).
 
 use crate::config::{AalLayer, GmacConfig};
 use crate::error::{GmacError, GmacResult};
@@ -57,6 +51,7 @@ use hetsim::{
     TransferLedger,
 };
 use softmmu::VAddr;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -173,10 +168,6 @@ pub(crate) struct Inner {
     /// handles before the unwrap.
     pub(crate) engine: Option<Arc<DmaEngine>>,
     pub(crate) control: Mutex<Control>,
-    /// `Some` in global-lock ablation mode ([`GmacConfig::sharding`] off):
-    /// held across every public operation, recreating the old
-    /// one-`Mutex<State>` serialization on top of the same code paths.
-    serial: Option<Mutex<()>>,
     /// Live `(queued jobs, in-flight bytes)` per device, maintained by the
     /// service layer and consulted by [`SchedPolicy::LeastLoaded`]
     /// placement. Plain relaxed atomics — load tracking never serializes
@@ -220,7 +211,6 @@ impl Inner {
                 ))
             })
             .collect();
-        let serial = (!config.sharding).then(|| Mutex::new(()));
         Inner {
             platform,
             registry: RwLock::new(Registry::new()),
@@ -230,7 +220,6 @@ impl Inner {
                 scheduler: Scheduler::new(SchedPolicy::Fixed(DeviceId(0)), device_count),
                 cuda_initialized: false,
             }),
-            serial,
             loads,
             race,
             service_stats: Mutex::new(std::sync::Weak::new()),
@@ -252,14 +241,12 @@ impl Inner {
         lock(&self.service_stats).upgrade().map(|s| s.snapshot())
     }
 
-    /// Serial gate: a no-op in sharded mode, the big lock in ablation mode.
-    /// Public operations take it exactly once at their entry point — which
-    /// makes it the natural settle point for this thread's deferred
+    /// Entry gate: public operations pass it exactly once at their entry
+    /// point, which makes it the settle point for this thread's deferred
     /// fast-path time (see [`crate::fasttime`]): the balance is flushed
     /// before the operation can read or advance the clock.
-    pub(crate) fn gate(&self) -> Option<MutexGuard<'_, ()>> {
+    pub(crate) fn gate(&self) {
         fasttime::flush(&self.platform);
-        self.serial.as_ref().map(lock)
     }
 
     /// Allocates the next session identity.
@@ -358,13 +345,13 @@ impl Inner {
     /// `adsmAlloc(size)`: session affinity overrides the scheduler's
     /// placement policy.
     pub(crate) fn alloc(&self, view: SessionView, size: u64) -> GmacResult<SharedPtr> {
-        let _g = self.gate();
+        self.gate();
         let dev = self.place_alloc(view);
         self.alloc_on_impl(dev, size, false).map(|(ptr, ..)| ptr)
     }
 
     pub(crate) fn alloc_on(&self, dev: DeviceId, size: u64) -> GmacResult<SharedPtr> {
-        let _g = self.gate();
+        self.gate();
         self.alloc_on_impl(dev, size, false).map(|(ptr, ..)| ptr)
     }
 
@@ -378,7 +365,7 @@ impl Inner {
         size: u64,
         safe: bool,
     ) -> GmacResult<(SharedPtr, ObjectId, Option<Arc<ObjFastView>>)> {
-        let _g = self.gate();
+        self.gate();
         let dev = self.place_alloc(view);
         if safe {
             self.safe_alloc_on_impl(dev, size, true)
@@ -441,14 +428,14 @@ impl Inner {
     }
 
     pub(crate) fn safe_alloc(&self, view: SessionView, size: u64) -> GmacResult<SharedPtr> {
-        let _g = self.gate();
+        self.gate();
         let dev = self.place_alloc(view);
         self.safe_alloc_on_impl(dev, size, false)
             .map(|(ptr, ..)| ptr)
     }
 
     pub(crate) fn safe_alloc_on(&self, dev: DeviceId, size: u64) -> GmacResult<SharedPtr> {
-        let _g = self.gate();
+        self.gate();
         self.safe_alloc_on_impl(dev, size, false)
             .map(|(ptr, ..)| ptr)
     }
@@ -494,12 +481,12 @@ impl Inner {
     /// `adsmFree(addr)` (with optional allocation-identity gate for the
     /// RAII [`crate::Shared`] path).
     pub(crate) fn free(&self, ptr: SharedPtr) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         self.free_impl(ptr, None)
     }
 
     pub(crate) fn free_exact(&self, ptr: SharedPtr, id: ObjectId) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         self.free_impl(ptr, Some(id))
     }
 
@@ -532,7 +519,7 @@ impl Inner {
         params: &[Param],
         writes: Option<&[SharedPtr]>,
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         self.ensure_cuda_init();
         // Resolve the target accelerator from the parameter objects (the
         // registry routes each shared pointer to its home device).
@@ -622,19 +609,31 @@ impl Inner {
                 .filter_map(|p| shard.mgr.find(p.addr()).map(|o| o.addr()))
                 .collect()
         });
-        {
-            let DeviceShard {
-                rt, mgr, protocol, ..
-            } = &mut *shard;
-            protocol.release(rt, mgr, dev, writes.as_deref())?;
-        }
-        // Explicit join point: eager evictions and the release flush run as
-        // asynchronous DMA jobs; the kernel must not start until the device
-        // holds every byte the CPU wrote.
-        shard.rt.join_dma(dev)?;
-
         let stream = StreamId(0);
-        shard.rt.platform.launch(dev, stream, kernel, dims, &args)?;
+        let DeviceShard {
+            rt, mgr, protocol, ..
+        } = &mut *shard;
+        let launched = catch_unwind(AssertUnwindSafe(|| -> GmacResult<()> {
+            protocol.release(rt, mgr, dev, writes.as_deref())?;
+            // Explicit join point: eager evictions and the release flush run
+            // as asynchronous DMA jobs; the kernel must not start until the
+            // device holds every byte the CPU wrote.
+            rt.join_dma(dev)?;
+            rt.platform.launch(dev, stream, kernel, dims, &args)?;
+            Ok(())
+        }));
+        // A failed call is a call that returned: once the release has begun,
+        // a failure (or a panicking kernel) runs the acquire side before it
+        // surfaces, so no object is left invalidated with no pending call to
+        // fetch it back. The call's own failure is what the caller needs; a
+        // failure of this acquire would only mask it.
+        if !matches!(launched, Ok(Ok(()))) {
+            let _ = protocol.acquire(rt, mgr, dev);
+        }
+        match launched {
+            Ok(result) => result?,
+            Err(panic) => resume_unwind(panic),
+        }
         // Only the detector needs the object list past this point; skip the
         // clone entirely when it is off.
         let raced = self.race.is_some().then(|| objects.clone());
@@ -649,7 +648,7 @@ impl Inner {
     /// session. A multi-shard transaction: shards are visited one at a time
     /// in device-id order, never holding two at once.
     pub(crate) fn sync(&self, view: SessionView) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let mut synced_any = false;
         for slot in &self.shards {
             let mut shard = lock_shard(slot);
@@ -671,7 +670,7 @@ impl Inner {
 
     /// Joins the pending call on a single device (session-checked).
     pub(crate) fn sync_device(&self, view: SessionView, dev: DeviceId) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let Some(slot) = self.shards.get(dev.0) else {
             return Err(GmacError::NothingToSync);
         };
@@ -684,7 +683,7 @@ impl Inner {
 
     /// `adsmSafe(address)`.
     pub(crate) fn translate(&self, cache: &RouteCache, ptr: SharedPtr) -> GmacResult<DevAddr> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).translate(ptr)
     }
@@ -696,7 +695,7 @@ impl Inner {
         cache: &RouteCache,
         ptr: SharedPtr,
     ) -> GmacResult<T> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).load(ptr)
     }
@@ -707,7 +706,7 @@ impl Inner {
         ptr: SharedPtr,
         value: T,
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).store(ptr, value)
     }
@@ -718,7 +717,7 @@ impl Inner {
         ptr: SharedPtr,
         n: usize,
     ) -> GmacResult<Vec<T>> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).load_slice(ptr, n)
     }
@@ -729,7 +728,7 @@ impl Inner {
         ptr: SharedPtr,
         values: &[T],
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).store_slice(ptr, values)
     }
@@ -743,7 +742,7 @@ impl Inner {
         value: u8,
         len: u64,
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev).memset_locked(ptr, value, len)
     }
@@ -754,7 +753,7 @@ impl Inner {
         dst: SharedPtr,
         src: &[u8],
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, dst.addr())?;
         self.shard(dev).shared_write(dst, src)
     }
@@ -765,7 +764,7 @@ impl Inner {
         dst: &mut [u8],
         src: SharedPtr,
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, src.addr())?;
         self.shard(dev).shared_read_into(src, dst)
     }
@@ -785,7 +784,7 @@ impl Inner {
         src: SharedPtr,
         len: u64,
     ) -> GmacResult<()> {
-        let _g = self.gate();
+        self.gate();
         // Only the source goes through the one-entry memo: routing both
         // operands of a two-object copy loop through it would evict each
         // other every call (0% hit rate); this way the memo stays pinned on
@@ -818,7 +817,7 @@ impl Inner {
         ptr: SharedPtr,
         len: u64,
     ) -> GmacResult<u64> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev)
             .read_file_to_shared_locked(name, file_offset, ptr, len)
@@ -832,7 +831,7 @@ impl Inner {
         ptr: SharedPtr,
         len: u64,
     ) -> GmacResult<u64> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route_cached(cache, ptr.addr())?;
         self.shard(dev)
             .write_shared_to_file_locked(name, file_offset, ptr, len)
@@ -867,7 +866,7 @@ impl Inner {
     }
 
     pub(crate) fn counters(&self) -> Counters {
-        let _g = self.gate();
+        self.gate();
         let mut total = Counters::default();
         for slot in &self.shards {
             total.merge(&lock_shard(slot).rt.counters());
@@ -887,7 +886,7 @@ impl Inner {
     }
 
     pub(crate) fn object_at(&self, ptr: SharedPtr) -> Option<crate::report::ObjectReport> {
-        let _g = self.gate();
+        self.gate();
         let (_, dev) = self.route(ptr.addr()).ok()?;
         self.shard(dev)
             .mgr
@@ -896,7 +895,7 @@ impl Inner {
     }
 
     pub(crate) fn dirty_block_count(&self) -> usize {
-        let _g = self.gate();
+        self.gate();
         self.shards
             .iter()
             .map(|slot| lock_shard(slot).dirty_block_count())
@@ -905,7 +904,7 @@ impl Inner {
 
     /// True when `view`'s session has at least one call in flight.
     pub(crate) fn has_pending_call(&self, view: SessionView) -> bool {
-        let _g = self.gate();
+        self.gate();
         self.shards.iter().any(|slot| {
             lock_shard(slot)
                 .pending
@@ -916,7 +915,7 @@ impl Inner {
 
     /// Devices with any call in flight, in id order.
     pub(crate) fn pending_devices(&self) -> Vec<DeviceId> {
-        let _g = self.gate();
+        self.gate();
         self.shards
             .iter()
             .enumerate()
@@ -930,7 +929,7 @@ impl Inner {
     }
 
     pub(crate) fn set_sched_policy(&self, policy: SchedPolicy) {
-        let _g = self.gate();
+        self.gate();
         lock(&self.control).scheduler.set_policy(policy);
     }
 
@@ -963,10 +962,8 @@ impl Inner {
 /// `Gmac` is the owner; threads interact through per-thread
 /// [`Session`] handles. Interior state is **sharded per accelerator** (see
 /// the `gmac.rs` module docs): sessions driving different devices take
-/// independent locks and overlap in wall-clock time, while
-/// [`GmacConfig::sharding`]`(false)` restores the old single-global-lock
-/// behaviour for ablation. `Gmac` is `Send + Sync` and cloning it is cheap
-/// (reference-counted).
+/// independent locks and overlap in wall-clock time. `Gmac` is
+/// `Send + Sync` and cloning it is cheap (reference-counted).
 ///
 /// ```
 /// use gmac::{Gmac, GmacConfig, Protocol};
@@ -1036,10 +1033,7 @@ impl Gmac {
 
     /// Runs `f` over the simulated platform (kernel registration, file
     /// setup, clock queries). The platform is internally thread-safe, so no
-    /// runtime lock is held — but in global-lock ablation mode the closure
-    /// must still not call back into `Gmac`/`Session`/`Shared` methods
-    /// (including dropping a `Shared<T>` buffer), which would deadlock on
-    /// the serial gate.
+    /// runtime lock is held while the closure runs.
     pub fn with_platform<R>(&self, f: impl FnOnce(&Platform) -> R) -> R {
         // Settle deferred fast-path time: the closure may read the clock.
         fasttime::flush(&self.inner.platform);
@@ -1213,27 +1207,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(g.object_count(), 0);
-    }
-
-    #[test]
-    fn global_lock_mode_matches_sharded_mode() {
-        // The ablation toggle runs the same code paths behind one big lock:
-        // a single-session flow must be byte-identical between modes.
-        let run = |sharding: bool| {
-            let g = Gmac::new(
-                Platform::desktop_g280(),
-                GmacConfig::default().sharding(sharding),
-            );
-            let s = g.session();
-            let p = s.alloc(64 * 1024).unwrap();
-            s.store_slice::<u32>(p, &(0..1024).collect::<Vec<_>>())
-                .unwrap();
-            let data: Vec<u32> = s.load_slice(p, 1024).unwrap();
-            s.free(p).unwrap();
-            drop(s);
-            let elapsed = g.elapsed();
-            (data, elapsed)
-        };
-        assert_eq!(run(true), run(false));
     }
 }

@@ -125,7 +125,8 @@ mod tests {
         for protocol in Protocol::ALL {
             let s = session(protocol);
             let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-            s.with_platform(|p| p.fs_mut().create("in.dat", data.clone()));
+            s.gmac()
+                .with_platform(|p| p.fs_mut().create("in.dat", data.clone()));
             let p = s.alloc(data.len() as u64).unwrap();
             let n = s
                 .read_file_to_shared("in.dat", 0, p, data.len() as u64)
@@ -139,7 +140,8 @@ mod tests {
                 .unwrap();
             assert_eq!(m, data.len() as u64);
             let mut copied = vec![0u8; data.len()];
-            s.with_platform(|pf| pf.fs_mut().read_at("out.dat", 0, &mut copied))
+            s.gmac()
+                .with_platform(|pf| pf.fs_mut().read_at("out.dat", 0, &mut copied))
                 .unwrap();
             assert_eq!(copied, data, "{protocol}");
         }
@@ -148,7 +150,8 @@ mod tests {
     #[test]
     fn short_read_at_eof() {
         let s = session(Protocol::Rolling);
-        s.with_platform(|p| p.fs_mut().create("small.dat", vec![7u8; 1000]));
+        s.gmac()
+            .with_platform(|p| p.fs_mut().create("small.dat", vec![7u8; 1000]));
         let p = s.alloc(4096).unwrap();
         let n = s.read_file_to_shared("small.dat", 0, p, 4096).unwrap();
         assert_eq!(n, 1000);
@@ -158,12 +161,13 @@ mod tests {
     #[test]
     fn io_charges_io_categories() {
         let s = session(Protocol::Rolling);
-        s.with_platform(|p| p.fs_mut().create("in.dat", vec![1u8; 256 * 1024]));
+        s.gmac()
+            .with_platform(|p| p.fs_mut().create("in.dat", vec![1u8; 256 * 1024]));
         let p = s.alloc(256 * 1024).unwrap();
         s.read_file_to_shared("in.dat", 0, p, 256 * 1024).unwrap();
-        assert!(s.ledger().get(Category::IoRead).as_nanos() > 0);
+        assert!(s.gmac().ledger().get(Category::IoRead).as_nanos() > 0);
         s.write_shared_to_file("out.dat", 0, p, 256 * 1024).unwrap();
-        assert!(s.ledger().get(Category::IoWrite).as_nanos() > 0);
+        assert!(s.gmac().ledger().get(Category::IoWrite).as_nanos() > 0);
     }
 
     #[test]
@@ -176,12 +180,13 @@ mod tests {
         // Pretend a kernel ran: release everything (no kernel registered, so
         // drive the protocol directly through a store-free path).
         s.release_to_device().unwrap();
-        let before = s.transfers().d2h_bytes;
+        let before = s.gmac().transfers().d2h_bytes;
         s.write_shared_to_file("dump.bin", 0, p, 128 * 1024)
             .unwrap();
-        assert_eq!(s.transfers().d2h_bytes - before, 128 * 1024);
+        assert_eq!(s.gmac().transfers().d2h_bytes - before, 128 * 1024);
         let mut out = vec![0u8; 128 * 1024];
-        s.with_platform(|pf| pf.fs_mut().read_at("dump.bin", 0, &mut out))
+        s.gmac()
+            .with_platform(|pf| pf.fs_mut().read_at("dump.bin", 0, &mut out))
             .unwrap();
         assert!(out.iter().all(|&b| b == 9));
     }

@@ -17,8 +17,7 @@
 //! — see `shard.rs`) and cheap per-thread [`Session`] handles that carry the
 //! Table 1 calls. Kernel calls, protocol state and MMU regions are owned per
 //! device shard, so sessions driving different devices each keep a call in
-//! flight *and* overlap in wall-clock time; [`GmacConfig::sharding`] turns
-//! the old global-lock mode back on for ablation.
+//! flight *and* overlap in wall-clock time.
 //!
 //! ```
 //! use gmac::{Gmac, GmacConfig, Protocol};

@@ -80,26 +80,25 @@ impl CoherenceProtocol for BatchUpdate {
         // unmodified ones — unless the host copy is itself invalid
         // (back-to-back calls with no intervening sync: system memory was
         // invalidated at the previous call, so there is nothing to push).
+        // Evicted objects own no device window: the host copy stays
+        // authoritative (Dirty) until a call argument re-homes them.
         let mut plan = rt.plan(Direction::HostToDevice, CopyMode::Sync, Purpose::Release);
-        for addr in mgr.addrs() {
-            let obj = mgr.find(addr).expect("registered object").clone();
-            if obj.device() != dev {
-                continue;
-            }
-            // Evicted objects own no device window: the host copy stays
-            // authoritative (Dirty) until a call argument re-homes them.
-            if !obj.is_resident() {
-                continue;
-            }
+        for obj in mgr.iter().filter(|o| o.device() == dev && o.is_resident()) {
             if obj.state(0) != BlockState::Invalid {
-                plan.request(&obj, 0, obj.size());
+                plan.request(obj, 0, obj.size());
             }
-            mgr.find_mut(addr)
-                .expect("registered object")
-                .set_state(0, BlockState::Invalid);
-            // Pages stay read-write: batch performs no detection.
         }
+        // Flush before invalidating: a failed flush leaves every state as it
+        // was, so the acquire that follows a failed call fetches nothing the
+        // host still owns.
         rt.execute(&plan)?;
+        for addr in mgr.addrs() {
+            let obj = mgr.find_mut(addr).expect("registered object");
+            if obj.device() == dev && obj.is_resident() {
+                // Pages stay read-write: batch performs no detection.
+                obj.set_state(0, BlockState::Invalid);
+            }
+        }
         Ok(())
     }
 
@@ -109,24 +108,23 @@ impl CoherenceProtocol for BatchUpdate {
         // implicitly invalidating the accelerator copy.
         let writes = self.last_writes.take();
         let mut plan = rt.plan(Direction::DeviceToHost, CopyMode::Sync, Purpose::Fetch);
-        for addr in mgr.addrs() {
-            let obj = mgr.find(addr).expect("registered object").clone();
-            if obj.device() != dev {
-                continue;
+        // Only objects the release invalidated come back. Evicted objects
+        // were never pushed to the device by the matching release: nothing
+        // to fetch, already Dirty on host.
+        for obj in mgr.iter().filter(|o| o.device() == dev && o.is_resident()) {
+            if obj.state(0) == BlockState::Invalid
+                && crate::protocol::is_written(writes.as_deref(), obj.addr())
+            {
+                plan.request(obj, 0, obj.size());
             }
-            // Evicted objects were never pushed to the device by the
-            // matching release: nothing to fetch, already Dirty on host.
-            if !obj.is_resident() {
-                continue;
-            }
-            if crate::protocol::is_written(writes.as_deref(), addr) {
-                plan.request(&obj, 0, obj.size());
-            }
-            mgr.find_mut(addr)
-                .expect("registered object")
-                .set_state(0, BlockState::Dirty);
         }
         rt.execute(&plan)?;
+        for addr in mgr.addrs() {
+            let obj = mgr.find_mut(addr).expect("registered object");
+            if obj.device() == dev && obj.is_resident() {
+                obj.set_state(0, BlockState::Dirty);
+            }
+        }
         Ok(())
     }
 

@@ -5,16 +5,21 @@
 //! accelerator performs no coherence actions at all. That asymmetry is the
 //! core of ADSM — it is what allows simple accelerators.
 //!
-//! Three protocols are provided, each a refinement of the previous one:
+//! Three protocols are provided, each a refinement of the previous one, in
+//! two engines:
 //!
-//! | protocol | granularity | detection | transfers |
-//! |---|---|---|---|
-//! | [`batch`]   | object | none (everything moves) | all objects, both ways |
-//! | [`lazy`]    | object | page faults | dirty objects at call, faulted objects after return |
-//! | [`rolling`] | block  | page faults | dirty blocks, eagerly evicted as the CPU writes |
+//! | protocol | engine | granularity | detection | transfers |
+//! |---|---|---|---|---|
+//! | Batch   | [`batch`]   | object | none (everything moves) | all objects, both ways |
+//! | Lazy    | [`rolling`] | object | page faults | dirty objects at call, faulted objects after return |
+//! | Rolling | [`rolling`] | block  | page faults | dirty blocks, eagerly evicted as the CPU writes |
+//!
+//! Lazy = Rolling at (object granularity, no dirty bound, sync release,
+//! fetch on full overwrite): §4.3's lazy-update is Figure 6b without the
+//! dotted rolling transition, so one engine serves both at two private
+//! parameter points.
 
 pub(crate) mod batch;
-pub(crate) mod lazy;
 pub(crate) mod rolling;
 
 use crate::config::{GmacConfig, Protocol};
@@ -164,12 +169,8 @@ pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Interposed `memset` (paper §4.4): fill the range *device-side*
-    /// (`cudaMemset`) instead of faulting page by page on the host, then
-    /// invalidate the covered blocks so later CPU reads fetch the fill.
-    ///
-    /// Partially-covered dirty blocks are flushed first so pending host
-    /// bytes outside the fill range are not lost.
+    /// Interposed `memset` (paper §4.4) of `[offset, offset+len)` of the
+    /// object at `addr`.
     ///
     /// # Errors
     /// Propagates transfer/MMU failures.
@@ -181,60 +182,15 @@ pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
         offset: u64,
         len: u64,
         value: u8,
-    ) -> GmacResult<()> {
-        memset_device_side(rt, mgr, addr, offset, len, value)
-    }
-}
-
-/// The shared body of [`CoherenceProtocol::memset_through`]: plan a flush of
-/// partially-covered dirty blocks, fill the range device-side, then
-/// invalidate the covered blocks. Rolling-update wraps this with its
-/// dirty-set recount.
-pub(crate) fn memset_device_side(
-    rt: &mut Runtime,
-    mgr: &mut Manager,
-    addr: VAddr,
-    offset: u64,
-    len: u64,
-    value: u8,
-) -> GmacResult<()> {
-    use crate::error::GmacError;
-    use crate::xfer::Purpose;
-    use hetsim::{CopyMode, Direction};
-    let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
-    Runtime::check_bounds(obj, offset, len)?;
-    let mut plan = rt.plan(
-        Direction::HostToDevice,
-        CopyMode::Sync,
-        Purpose::MemsetFlush,
-    );
-    for idx in obj.blocks_overlapping(offset, len) {
-        let block = obj.block(idx);
-        let fully = offset <= block.offset && offset + len >= block.offset + block.len;
-        if block.state == BlockState::Dirty && !fully {
-            plan.request_block(obj, idx);
-        }
-    }
-    rt.execute(&plan)?;
-    rt.dev_fill(obj, offset, len, value)?;
-    // The covered blocks form one contiguous span: one mprotect + one state
-    // sweep instead of a per-block loop.
-    let covered = obj.blocks_overlapping(offset, len);
-    let span_lo = covered.start as u64 * obj.block_size();
-    let span_hi = (covered.end as u64 * obj.block_size()).min(obj.size());
-    rt.protect_range(obj, span_lo, span_hi, BlockState::Invalid)?;
-    for idx in covered {
-        obj.set_state(idx, BlockState::Invalid);
-    }
-    Ok(())
+    ) -> GmacResult<()>;
 }
 
 /// Instantiates the protocol selected by `kind`.
 pub(crate) fn make(kind: Protocol) -> Box<dyn CoherenceProtocol> {
     match kind {
         Protocol::Batch => Box::new(batch::BatchUpdate::new()),
-        Protocol::Lazy => Box::new(lazy::LazyUpdate::new()),
-        Protocol::Rolling => Box::new(rolling::RollingUpdate::new()),
+        Protocol::Lazy => Box::new(rolling::RollingUpdate::lazy()),
+        Protocol::Rolling => Box::new(rolling::RollingUpdate::rolling()),
     }
 }
 
@@ -267,5 +223,132 @@ mod tests {
         assert!(is_written(Some(&[a]), a));
         assert!(!is_written(Some(&[a]), b));
         assert!(!is_written(Some(&[]), a));
+    }
+}
+
+/// Lazy-update's unit tests, against [`Protocol::Lazy`]: the rolling engine
+/// at its lazy point.
+#[cfg(test)]
+mod lazy {
+    mod tests {
+        use crate::config::Protocol;
+        use crate::error::GmacError;
+        use crate::state::BlockState;
+        use crate::testutil::harness;
+        use hetsim::DeviceId;
+        use softmmu::VAddr;
+
+        const DEV: DeviceId = DeviceId(0);
+
+        #[test]
+        fn only_dirty_objects_move_at_release() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192, 4096]);
+            let addrs = mgr.addrs();
+            // Dirty the first object only.
+            p.prepare_write(&mut rt, &mut mgr, addrs[0], 0, 1).unwrap();
+            let before = rt.platform.transfers().h2d_bytes;
+            p.release(&mut rt, &mut mgr, DEV, None).unwrap();
+            assert_eq!(
+                rt.platform.transfers().h2d_bytes - before,
+                8192,
+                "clean object not transferred (first benefit of lazy-update)"
+            );
+            for obj in mgr.iter() {
+                assert_eq!(obj.state(0), BlockState::Invalid);
+            }
+        }
+
+        #[test]
+        fn acquire_transfers_nothing() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192]);
+            p.release(&mut rt, &mut mgr, DEV, None).unwrap();
+            let before = rt.platform.transfers().d2h_bytes;
+            p.acquire(&mut rt, &mut mgr, DEV).unwrap();
+            assert_eq!(rt.platform.transfers().d2h_bytes, before);
+        }
+
+        #[test]
+        fn read_of_invalid_object_fetches_whole_object() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[16384]);
+            let addr = mgr.addrs()[0];
+            p.release(&mut rt, &mut mgr, DEV, None).unwrap();
+            let before = rt.platform.transfers().d2h_bytes;
+            // CPU touches one byte: lazy fetches the *entire* object.
+            p.prepare_read(&mut rt, &mut mgr, addr, 5, 1).unwrap();
+            assert_eq!(rt.platform.transfers().d2h_bytes - before, 16384);
+            assert_eq!(mgr.find(addr).unwrap().state(0), BlockState::ReadOnly);
+            // Subsequent reads are free.
+            let before = rt.platform.transfers().d2h_bytes;
+            p.prepare_read(&mut rt, &mut mgr, addr, 6000, 64).unwrap();
+            assert_eq!(rt.platform.transfers().d2h_bytes, before);
+        }
+
+        #[test]
+        fn write_to_invalid_object_fetches_then_dirties() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192]);
+            let addr = mgr.addrs()[0];
+            p.release(&mut rt, &mut mgr, DEV, None).unwrap();
+            p.prepare_write(&mut rt, &mut mgr, addr, 0, 4).unwrap();
+            assert_eq!(mgr.find(addr).unwrap().state(0), BlockState::Dirty);
+            assert_eq!(rt.counters().blocks_fetched, 1);
+            // Host pages are now read-write: stores succeed.
+            rt.vm.write_bytes(addr, &[1, 2, 3, 4]).unwrap();
+        }
+
+        #[test]
+        fn full_overwrite_of_invalid_object_still_fetches() {
+            // Unlike rolling-update, the lazy point fetches even when the
+            // write covers the whole object, and it never evicts eagerly.
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192, 8192, 8192]);
+            let addrs = mgr.addrs();
+            p.release(&mut rt, &mut mgr, DEV, None).unwrap();
+            for &addr in &addrs {
+                p.prepare_write(&mut rt, &mut mgr, addr, 0, 8192).unwrap();
+            }
+            assert_eq!(rt.platform.transfers().d2h_bytes, 3 * 8192);
+            assert_eq!(p.dirty_blocks(&mgr), 3, "no dirty bound");
+            assert_eq!(rt.counters().eager_evictions, 0);
+        }
+
+        #[test]
+        fn write_to_read_only_dirties_without_transfer() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192]);
+            let addr = mgr.addrs()[0];
+            let before = rt.platform.transfers().total_bytes();
+            p.prepare_write(&mut rt, &mut mgr, addr, 100, 4).unwrap();
+            assert_eq!(
+                rt.platform.transfers().total_bytes(),
+                before,
+                "no data motion"
+            );
+            assert_eq!(mgr.find(addr).unwrap().state(0), BlockState::Dirty);
+        }
+
+        #[test]
+        fn annotation_keeps_unwritten_objects_valid() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[8192, 4096]);
+            let addrs = mgr.addrs();
+            p.prepare_write(&mut rt, &mut mgr, addrs[1], 0, 1).unwrap();
+            // Kernel writes only object 0.
+            p.release(&mut rt, &mut mgr, DEV, Some(&addrs[..1]))
+                .unwrap();
+            assert_eq!(mgr.find(addrs[0]).unwrap().state(0), BlockState::Invalid);
+            // Object 1 was dirty, got flushed, and stays CPU-readable.
+            assert_eq!(mgr.find(addrs[1]).unwrap().state(0), BlockState::ReadOnly);
+            // Reading it costs no transfer.
+            let before = rt.platform.transfers().d2h_bytes;
+            p.prepare_read(&mut rt, &mut mgr, addrs[1], 0, 64).unwrap();
+            assert_eq!(rt.platform.transfers().d2h_bytes, before);
+        }
+
+        #[test]
+        fn foreign_address_is_error() {
+            let (mut rt, mut mgr, mut p) = harness(Protocol::Lazy, &[4096]);
+            let bogus = VAddr(0xDEAD_0000);
+            assert!(matches!(
+                p.prepare_read(&mut rt, &mut mgr, bogus, 0, 1),
+                Err(GmacError::NotShared(_))
+            ));
+        }
     }
 }

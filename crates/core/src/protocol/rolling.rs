@@ -1,5 +1,6 @@
 //! Rolling-update: the hybrid write-update/write-invalidate protocol (paper
-//! Figure 6b including the dotted eager-eviction transition).
+//! Figure 6b including the dotted eager-eviction transition), and
+//! lazy-update as one parameter point of the same engine.
 //!
 //! Shared objects are divided into fixed-size blocks. Only a bounded number
 //! of blocks — the *rolling size* — may be dirty at once; when the bound is
@@ -7,6 +8,9 @@
 //! accelerator and downgraded to read-only, overlapping DMA with ongoing CPU
 //! computation. The rolling size grows adaptively by a fixed factor (default
 //! 2 blocks) on every allocation (§4.3).
+//!
+//! Lazy-update is Figure 6b without the dotted transition: this engine at
+//! [`LAZY`], with one block per object and no bound on dirty blocks.
 //!
 //! One instance exists per device shard, so the dirty FIFO, the dirty count
 //! and the adaptive rolling size are all **per-accelerator** state: heavy
@@ -25,38 +29,70 @@ use hetsim::{CopyMode, DeviceId, Direction};
 use softmmu::VAddr;
 use std::collections::VecDeque;
 
-/// The rolling-update protocol.
+/// The parameters that tell lazy-update from rolling-update.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    kind: Protocol,
+    /// One block per object instead of [`GmacConfig::block_size`] blocks.
+    whole_objects: bool,
+    /// Bound the dirty set by the rolling size (eager eviction).
+    bounded: bool,
+    /// Copy mode of the release flush.
+    release: CopyMode,
+    /// Skip fetching an invalid block that a write covers entirely.
+    skip_overwritten: bool,
+}
+
+/// Lazy-update.
+const LAZY: Point = Point {
+    kind: Protocol::Lazy,
+    whole_objects: true,
+    bounded: false,
+    release: CopyMode::Sync,
+    skip_overwritten: false,
+};
+
+/// Rolling-update: its release flush is joined at the `adsmCall` boundary.
+const ROLLING: Point = Point {
+    kind: Protocol::Rolling,
+    whole_objects: false,
+    bounded: true,
+    release: CopyMode::Async,
+    skip_overwritten: true,
+};
+
+/// The rolling-update engine at one [`Point`].
 #[derive(Debug)]
 pub(crate) struct RollingUpdate {
+    point: Point,
     /// Dirty blocks in age order: (object start, block index). Entries whose
     /// block is no longer dirty are skipped lazily on pop.
     fifo: VecDeque<(VAddr, usize)>,
-    /// Exact number of dirty blocks across all objects.
+    /// Exact number of dirty blocks across all resident objects.
     dirty_count: usize,
     /// Current rolling size (maximum dirty blocks); grows adaptively unless
-    /// the configuration pins it.
+    /// the configuration pins it. `usize::MAX` when unbounded.
     limit: usize,
 }
 
-impl Default for RollingUpdate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RollingUpdate {
-    /// Creates the protocol with an empty dirty set.
-    pub(crate) fn new() -> Self {
+    /// Rolling-update.
+    pub(crate) fn rolling() -> Self {
+        Self::at(ROLLING)
+    }
+
+    /// Lazy-update.
+    pub(crate) fn lazy() -> Self {
+        Self::at(LAZY)
+    }
+
+    fn at(point: Point) -> Self {
         RollingUpdate {
+            point,
             fifo: VecDeque::new(),
             dirty_count: 0,
-            limit: 0,
+            limit: if point.bounded { 0 } else { usize::MAX },
         }
-    }
-
-    /// Current rolling size.
-    pub(crate) fn rolling_size(&self) -> usize {
-        self.limit.max(1)
     }
 
     /// Marks the not-yet-dirty block `idx` of `obj` dirty and enters it in
@@ -79,7 +115,7 @@ impl RollingUpdate {
     /// size. The freshly-dirtied block (FIFO back) is never the victim
     /// because eviction only triggers with at least two dirty blocks.
     fn evict_overflow(&mut self, rt: &mut Runtime, mgr: &mut Manager) -> GmacResult<()> {
-        while self.dirty_count > self.rolling_size() {
+        while self.dirty_count > self.limit.max(1) {
             let Some((addr, idx)) = self.fifo.pop_front() else {
                 debug_assert!(false, "dirty_count out of sync with fifo");
                 break;
@@ -128,18 +164,27 @@ impl RollingUpdate {
 
 impl CoherenceProtocol for RollingUpdate {
     fn kind(&self) -> Protocol {
-        Protocol::Rolling
+        self.point.kind
     }
 
-    fn block_size_for(&self, config: &GmacConfig, _size: u64) -> u64 {
-        config.block_size
+    fn block_size_for(&self, config: &GmacConfig, size: u64) -> u64 {
+        if self.point.whole_objects {
+            size
+        } else {
+            config.block_size
+        }
     }
 
     fn initial_state(&self) -> BlockState {
+        // "Shared data structures are initialized to a read-only state when
+        // they are allocated, so read accesses do not trigger a page fault."
         BlockState::ReadOnly
     }
 
     fn on_alloc(&mut self, rt: &mut Runtime, _mgr: &mut Manager, _addr: VAddr) -> GmacResult<()> {
+        if !self.point.bounded {
+            return Ok(());
+        }
         // Adaptive rolling size: "every time a new memory structure is
         // allocated, the rolling size is increased by a fixed factor
         // (default 2 blocks)" — unless pinned by configuration (Figure 12).
@@ -169,22 +214,25 @@ impl CoherenceProtocol for RollingUpdate {
         dev: DeviceId,
         writes: Option<&[VAddr]>,
     ) -> GmacResult<()> {
-        // Plan a flush of every remaining dirty block. Adjacent dirty blocks
-        // coalesce into single DMA jobs, and the jobs are asynchronous: they
-        // pipeline behind any in-flight eager evictions. The explicit join
-        // happens at the `adsmCall` boundary ([`crate::Session::call`]), not
-        // here — callers driving the protocol directly can join through
-        // [`Runtime::join_dma`] when they need the timeline drained.
-        let mut plan = rt.plan(Direction::HostToDevice, CopyMode::Async, Purpose::Release);
-        for addr in mgr.addrs() {
-            let obj = mgr.find(addr).expect("registered object").clone();
-            if obj.device() != dev || !obj.is_resident() {
-                continue;
-            }
-            // Runs of adjacent dirty blocks flush as single requests.
+        // Plan a flush of every remaining dirty block; only modified data
+        // moves (lazy-update's first benefit in §4.3). Adjacent dirty blocks
+        // coalesce into single DMA jobs. Rolling's jobs are asynchronous:
+        // they pipeline behind any in-flight eager evictions, and the
+        // explicit join happens at the `adsmCall` boundary
+        // ([`crate::Session::call`]), not here — callers driving the protocol
+        // directly can join through [`Runtime::join_dma`] when they need the
+        // timeline drained.
+        let mut plan = rt.plan(
+            Direction::HostToDevice,
+            self.point.release,
+            Purpose::Release,
+        );
+        // Evicted objects own no device window: the host copy stays
+        // authoritative (Dirty, pages read-write) until re-fetch.
+        for obj in mgr.iter().filter(|o| o.device() == dev && o.is_resident()) {
             for run in obj.runs_in(0, obj.size()) {
                 if run.state == BlockState::Dirty {
-                    plan.request(&obj, run.start, run.len());
+                    plan.request(obj, run.start, run.len());
                 }
             }
         }
@@ -193,28 +241,27 @@ impl CoherenceProtocol for RollingUpdate {
         // Evicted objects are skipped whole: the host copy is the only copy,
         // so invalidating it would lose bytes.
         for addr in mgr.addrs() {
-            let obj = mgr.find(addr).expect("registered object").clone();
+            let obj = mgr.find_mut(addr).expect("registered object");
             if obj.device() != dev || !obj.is_resident() {
                 continue;
             }
-            let target = mgr.find_mut(addr).expect("registered object");
             if is_written(writes, addr) {
-                for idx in 0..target.block_count() {
-                    target.set_state(idx, BlockState::Invalid);
+                for idx in 0..obj.block_count() {
+                    obj.set_state(idx, BlockState::Invalid);
                 }
-                let snapshot = target.clone();
-                rt.protect_object(&snapshot, BlockState::Invalid)?;
+                rt.protect_object(obj, BlockState::Invalid)?;
             } else {
-                // Unwritten objects: dirty blocks were flushed above.
-                for idx in 0..target.block_count() {
-                    if target.state(idx) == BlockState::Dirty {
-                        target.set_state(idx, BlockState::ReadOnly);
+                // Annotated read-only for the kernel: dirty blocks were
+                // flushed above and the CPU copy stays valid, avoiding the
+                // paper's transfer-back deficiency.
+                for idx in 0..obj.block_count() {
+                    if obj.state(idx) == BlockState::Dirty {
+                        obj.set_state(idx, BlockState::ReadOnly);
                     }
                 }
                 // One mprotect per equal-state run, not one per block.
-                let snapshot = target.clone();
-                for run in snapshot.runs_in(0, snapshot.size()) {
-                    rt.protect_range(&snapshot, run.start, run.end, run.state)?;
+                for run in obj.runs_in(0, obj.size()) {
+                    rt.protect_range(obj, run.start, run.end, run.state)?;
                 }
             }
         }
@@ -276,10 +323,11 @@ impl CoherenceProtocol for RollingUpdate {
             let block = obj.block(idx);
             if block.state == BlockState::Invalid {
                 // A partial overwrite of an invalid block must merge with the
-                // accelerator's bytes; a full overwrite needs no fetch.
+                // accelerator's bytes; rolling skips the fetch of a full
+                // overwrite, lazy fetches the whole object regardless.
                 let fully_covered =
                     offset <= block.offset && offset + len >= block.offset + block.len;
-                if !fully_covered {
+                if !(fully_covered && self.point.skip_overwritten) {
                     let mut plan = rt.plan(Direction::DeviceToHost, CopyMode::Sync, Purpose::Fetch);
                     plan.request_block(obj, idx);
                     rt.execute(&plan)?;
@@ -332,7 +380,35 @@ impl CoherenceProtocol for RollingUpdate {
         len: u64,
         value: u8,
     ) -> GmacResult<()> {
-        crate::protocol::memset_device_side(rt, mgr, addr, offset, len, value)?;
+        // Fill device-side (`cudaMemset`) instead of faulting page by page
+        // on the host, then invalidate the covered blocks so later CPU reads
+        // fetch the fill. Partially covered dirty blocks are flushed first so
+        // pending host bytes outside the fill range are not lost.
+        let obj = mgr.find_mut(addr).ok_or(GmacError::NotShared(addr))?;
+        Runtime::check_bounds(obj, offset, len)?;
+        let mut plan = rt.plan(
+            Direction::HostToDevice,
+            CopyMode::Sync,
+            Purpose::MemsetFlush,
+        );
+        for idx in obj.blocks_overlapping(offset, len) {
+            let block = obj.block(idx);
+            let fully = offset <= block.offset && offset + len >= block.offset + block.len;
+            if block.state == BlockState::Dirty && !fully {
+                plan.request_block(obj, idx);
+            }
+        }
+        rt.execute(&plan)?;
+        rt.dev_fill(obj, offset, len, value)?;
+        // The covered blocks form one contiguous span: one mprotect + one
+        // state sweep instead of a per-block loop.
+        let covered = obj.blocks_overlapping(offset, len);
+        let span_lo = covered.start as u64 * obj.block_size();
+        let span_hi = (covered.end as u64 * obj.block_size()).min(obj.size());
+        rt.protect_range(obj, span_lo, span_hi, BlockState::Invalid)?;
+        for idx in covered {
+            obj.set_state(idx, BlockState::Invalid);
+        }
         // Blocks forced out of Dirty must leave the rolling accounting.
         self.recount_dirty(mgr);
         Ok(())

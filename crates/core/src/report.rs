@@ -91,9 +91,6 @@ pub struct RaceReport {
 pub struct Report {
     /// Protocol in use.
     pub protocol: crate::config::Protocol,
-    /// Whether the runtime runs sharded per device (`false` = global-lock
-    /// ablation mode).
-    pub sharded: bool,
     /// Whether shared bytes live in a real mmap reservation (`false` =
     /// table-walk/frame-arena ablation backend). See
     /// [`crate::GmacConfig::mmap_backing`].
@@ -161,7 +158,7 @@ impl Inner {
     /// time in device-id order (the standard multi-shard transaction — see
     /// [`crate::shard`]).
     pub(crate) fn report(&self) -> Report {
-        let _g = self.gate();
+        self.gate();
         let mut objects: Vec<ObjectReport> = Vec::new();
         let mut dirty_blocks = 0usize;
         let mut pending_devices = Vec::new();
@@ -212,7 +209,6 @@ impl Inner {
         let engine_stats = self.engine.as_deref().map(crate::xfer::DmaEngine::stats);
         Report {
             protocol: self.config().protocol,
-            sharded: self.config().sharding,
             mmap_backing,
             backing_downgraded,
             async_dma: engine_stats.is_some(),
@@ -265,10 +261,8 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "GMAC runtime ({}) — {} elapsed{}",
-            self.protocol,
-            self.elapsed,
-            if self.sharded { "" } else { "  [global-lock]" }
+            "GMAC runtime ({}) — {} elapsed",
+            self.protocol, self.elapsed
         )?;
         writeln!(
             f,

@@ -54,20 +54,8 @@ impl Scheduler {
         self.policy = policy;
     }
 
-    /// Round-robin rotation that **skips** devices the filter excludes,
-    /// advancing `next` past them — the counter can never hand out an
-    /// excluded device, and it does not stall on one either (the pre-filter
-    /// counter naively returned `next % device_count` even when a session's
-    /// affinity excluded that device). If the filter rejects every device,
-    /// the unfiltered rotation choice is returned as a fallback.
-    fn rotate(&mut self, allowed: impl Fn(DeviceId) -> bool) -> DeviceId {
-        for _ in 0..self.device_count {
-            let dev = DeviceId(self.next % self.device_count);
-            self.next += 1;
-            if allowed(dev) {
-                return dev;
-            }
-        }
+    /// Round-robin rotation over every device.
+    fn rotate(&mut self) -> DeviceId {
         let dev = DeviceId(self.next % self.device_count);
         self.next += 1;
         dev
@@ -88,7 +76,7 @@ impl Scheduler {
     pub(crate) fn device_for_alloc_loaded(&mut self, loads: &[(u64, u64)]) -> DeviceId {
         match self.policy {
             SchedPolicy::Fixed(dev) => dev,
-            SchedPolicy::RoundRobin => self.rotate(|_| true),
+            SchedPolicy::RoundRobin => self.rotate(),
             SchedPolicy::LeastLoaded => {
                 if loads.len() == self.device_count && loads.iter().any(|&(q, b)| q > 0 || b > 0) {
                     let (idx, _) = loads
@@ -98,35 +86,9 @@ impl Scheduler {
                         .expect("at least one device");
                     DeviceId(idx)
                 } else {
-                    self.rotate(|_| true)
+                    self.rotate()
                 }
             }
-        }
-    }
-
-    /// Chooses the device for a new allocation among the devices `allowed`
-    /// admits (a session affinity restricted to a subset of accelerators).
-    /// Rotating policies advance their counter *past* excluded devices;
-    /// [`SchedPolicy::Fixed`] falls back to the first
-    /// allowed device when its pin is excluded (or keeps the pin when
-    /// nothing is allowed, surfacing the affinity conflict downstream).
-    #[cfg(test)]
-    pub(crate) fn device_for_alloc_where(
-        &mut self,
-        allowed: impl Fn(DeviceId) -> bool,
-    ) -> DeviceId {
-        match self.policy {
-            SchedPolicy::Fixed(dev) => {
-                if allowed(dev) {
-                    dev
-                } else {
-                    (0..self.device_count)
-                        .map(DeviceId)
-                        .find(|&d| allowed(d))
-                        .unwrap_or(dev)
-                }
-            }
-            SchedPolicy::RoundRobin | SchedPolicy::LeastLoaded => self.rotate(allowed),
         }
     }
 
@@ -157,38 +119,6 @@ mod tests {
         let seq: Vec<_> = (0..6).map(|_| s.device_for_alloc().0).collect();
         assert_eq!(seq, [0, 1, 2, 0, 1, 2]);
         assert_eq!(s.default_device(), DeviceId(0));
-    }
-
-    #[test]
-    fn round_robin_skips_excluded_devices() {
-        // A session whose affinity excludes device 1 must never be handed
-        // device 1, and the counter must advance past it rather than stall.
-        let mut s = Scheduler::new(SchedPolicy::RoundRobin, 3);
-        let seq: Vec<_> = (0..4)
-            .map(|_| s.device_for_alloc_where(|d| d.0 != 1).0)
-            .collect();
-        assert_eq!(seq, [0, 2, 0, 2]);
-        // The shared counter advanced past the skipped slots (6 consumed
-        // over 4 placements): an unfiltered call continues the rotation
-        // from there instead of replaying one.
-        assert_eq!(s.device_for_alloc(), DeviceId(0));
-        assert_eq!(s.device_for_alloc(), DeviceId(1));
-    }
-
-    #[test]
-    fn fully_excluded_rotation_still_places() {
-        let mut s = Scheduler::new(SchedPolicy::RoundRobin, 2);
-        // Nothing allowed: fall back to the plain rotation (placement must
-        // make progress; the bogus choice surfaces downstream).
-        let dev = s.device_for_alloc_where(|_| false);
-        assert!(dev.0 < 2);
-    }
-
-    #[test]
-    fn fixed_policy_respects_exclusion_when_possible() {
-        let mut s = Scheduler::new(SchedPolicy::Fixed(DeviceId(0)), 3);
-        assert_eq!(s.device_for_alloc_where(|d| d.0 != 0), DeviceId(1));
-        assert_eq!(s.device_for_alloc_where(|_| false), DeviceId(0));
     }
 
     #[test]

@@ -20,14 +20,12 @@
 //! in virtual time. Two sessions racing for one accelerator get a clean
 //! [`crate::GmacError::DeviceBusy`] instead of silent serialization.
 
-use crate::config::GmacConfig;
 use crate::error::GmacResult;
 use crate::gmac::{Inner, RouteCache};
 use crate::ptr::{Param, SharedPtr};
 use crate::report::ObjectReport;
-use crate::runtime::Counters;
 use crate::typed::Shared;
-use hetsim::{DevAddr, DeviceId, LaunchDims, Platform, TimeLedger, TransferLedger};
+use hetsim::{DevAddr, DeviceId, LaunchDims};
 use softmmu::Scalar;
 use std::fmt;
 use std::sync::Arc;
@@ -96,9 +94,9 @@ impl Session {
         &self.inner
     }
 
-    /// A runtime handle sharing this session's state — the single home of
-    /// the introspection surface (the `Session` mirrors below are
-    /// conveniences forwarding to the same runtime).
+    /// A runtime handle sharing this session's state — the home of the
+    /// introspection surface (ledgers, counters, configuration, elapsed
+    /// time, the platform).
     pub fn gmac(&self) -> crate::Gmac {
         crate::Gmac::from_state(Arc::clone(&self.inner))
     }
@@ -387,50 +385,6 @@ impl Session {
     /// device).
     pub fn has_pending_call(&self) -> bool {
         self.inner.has_pending_call(self.view)
-    }
-
-    /// Runs `f` over the simulated platform (kernel registration, file
-    /// setup, clock queries). The platform is internally thread-safe; in
-    /// global-lock ablation mode the closure must not call back into the
-    /// session API (serial-gate deadlock).
-    pub fn with_platform<R>(&self, f: impl FnOnce(&Platform) -> R) -> R {
-        // Settle deferred fast-path time: the closure may read the clock.
-        crate::fasttime::flush(&self.inner.platform);
-        f(&self.inner.platform)
-    }
-
-    /// Execution-time ledger snapshot (Figure 10 categories).
-    pub fn ledger(&self) -> TimeLedger {
-        crate::fasttime::flush(&self.inner.platform);
-        self.inner.platform.ledger()
-    }
-
-    /// Transfer-ledger snapshot (Figure 8 input).
-    pub fn transfers(&self) -> TransferLedger {
-        crate::fasttime::flush(&self.inner.platform);
-        *self.inner.platform.transfers()
-    }
-
-    /// Runtime event counters (faults, fetches, evictions), summed over all
-    /// device shards.
-    pub fn counters(&self) -> Counters {
-        self.inner.counters()
-    }
-
-    /// Active configuration (clone).
-    pub fn config(&self) -> GmacConfig {
-        self.inner.config().clone()
-    }
-
-    /// Virtual time elapsed since platform start.
-    pub fn elapsed(&self) -> hetsim::Nanos {
-        crate::fasttime::flush(&self.inner.platform);
-        self.inner.platform.elapsed()
-    }
-
-    /// Number of live shared objects (all sessions).
-    pub fn object_count(&self) -> usize {
-        self.inner.object_count()
     }
 
     /// Snapshot of the shared object containing `ptr` (diagnostics/tests).

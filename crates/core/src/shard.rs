@@ -167,9 +167,7 @@ impl WriteSrc<'_> {
 /// inside the shared [`crate::Gmac`] runtime. An operation acquires exactly
 /// the shards it names (almost always one, found by routing the pointer
 /// through the read-mostly registry), so sessions driving different
-/// accelerators run concurrently in wall-clock terms — the property the
-/// `contention` benchmark measures against the global-lock ablation mode
-/// ([`crate::GmacConfig::sharding`]).
+/// accelerators run concurrently in wall-clock terms.
 ///
 /// See the [module docs](self) for the lock-order invariant.
 #[derive(Debug)]
@@ -307,9 +305,7 @@ impl DeviceShard {
     /// precondition holds:
     ///
     /// * the access fast paths are enabled (`tlb`; turning them off is the
-    ///   instrumented-baseline ablation) and the runtime is sharded (the
-    ///   global-lock ablation serialises *all* accesses by design, which a
-    ///   lock-free path would bypass);
+    ///   instrumented-baseline ablation);
     /// * the softmmu hands out a stable host pointer for the whole object
     ///   ([`softmmu::AddressSpace::fast_base`]: mmap backend + contiguous);
     /// * the block size is a power of two and a multiple of every scalar
@@ -321,7 +317,7 @@ impl DeviceShard {
         size: u64,
         block_size: u64,
     ) -> Option<Arc<ObjFastView>> {
-        if !(self.rt.config.tlb && self.rt.config.sharding) {
+        if !self.rt.config.tlb {
             return None;
         }
         if !block_size.is_power_of_two() || !block_size.is_multiple_of(8) {

@@ -401,7 +401,7 @@ mod tests {
         let v = s.alloc_typed::<f32>(64).unwrap();
         v.write(0, 1.0).unwrap();
         let dirty_before = g.dirty_block_count();
-        let ledger_before = g.session().ledger().total();
+        let ledger_before = g.ledger().total();
         assert!(s
             .call(
                 "no-such-kernel",
@@ -413,7 +413,7 @@ mod tests {
             .session_on(DeviceId(9))
             .call("nop", hetsim::LaunchDims::for_elements(1, 1), &[])
             .is_err());
-        assert_eq!(g.session().ledger().total(), ledger_before);
+        assert_eq!(g.ledger().total(), ledger_before);
         assert_eq!(
             g.dirty_block_count(),
             dirty_before,

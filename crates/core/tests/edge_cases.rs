@@ -173,7 +173,7 @@ fn device_pressure_evicts_instead_of_failing() {
     c.store::<u32>(a, 0xA11C_E5ED).unwrap();
     let _b = c.alloc(400 << 20).unwrap();
     let d = c.alloc(400 << 20).unwrap();
-    assert_eq!(c.counters().evictions, 1);
+    assert_eq!(c.gmac().counters().evictions, 1);
     assert_eq!(c.load::<u32>(a).unwrap(), 0xA11C_E5ED);
     c.store::<u32>(d, 7).unwrap();
     assert_eq!(c.load::<u32>(d).unwrap(), 7);
@@ -230,7 +230,7 @@ fn scalar_type_matrix_through_shared_memory() {
 fn many_small_objects_stress_the_registry() {
     let c = session(Protocol::Rolling);
     let ptrs: Vec<_> = (0..200).map(|_| c.alloc(PAGE_SIZE).unwrap()).collect();
-    assert_eq!(c.object_count(), 200);
+    assert_eq!(c.gmac().object_count(), 200);
     for (i, p) in ptrs.iter().enumerate() {
         c.store::<u32>(*p, i as u32).unwrap();
     }
@@ -241,7 +241,7 @@ fn many_small_objects_stress_the_registry() {
     for p in ptrs.iter().step_by(2) {
         c.free(*p).unwrap();
     }
-    assert_eq!(c.object_count(), 100);
+    assert_eq!(c.gmac().object_count(), 100);
     for (i, p) in ptrs.iter().enumerate().skip(1).step_by(2) {
         assert_eq!(c.load::<u32>(*p).unwrap(), i as u32);
     }

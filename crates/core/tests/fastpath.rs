@@ -26,9 +26,9 @@ fn many_block_write_performs_one_object_lookup() {
         let g = gmac_with(tlb, Protocol::Rolling, 4096);
         let s = g.session();
         let p = s.alloc(64 * 4096).unwrap(); // 64 blocks
-        let before = s.counters();
+        let before = s.gmac().counters();
         s.store_slice::<u8>(p, &vec![7u8; 64 * 4096]).unwrap();
-        let after = s.counters();
+        let after = s.gmac().counters();
         let resolutions =
             (after.obj_lookups + after.obj_memo_hits) - (before.obj_lookups + before.obj_memo_hits);
         assert_eq!(
@@ -49,10 +49,10 @@ fn repeated_access_hits_the_shard_memo() {
     let s = g.session();
     let p = s.alloc(8 * 4096).unwrap();
     s.store_slice::<u8>(p, &vec![1u8; 8 * 4096]).unwrap(); // 1 lookup
-    let mid = s.counters();
+    let mid = s.gmac().counters();
     s.store_slice::<u8>(p, &vec![2u8; 8 * 4096]).unwrap(); // memo hit
     s.load_slice::<u8>(p, 8 * 4096).unwrap(); // memo hits
-    let after = s.counters();
+    let after = s.gmac().counters();
     assert_eq!(after.obj_lookups, mid.obj_lookups, "no further searches");
     assert!(after.obj_memo_hits > mid.obj_memo_hits);
 }

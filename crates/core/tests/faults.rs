@@ -37,13 +37,14 @@ fn dev_alloc_failpoint_fails_the_alloc_and_nothing_else() {
     // A successful alloc first: the failpoint keys on op ordinal, so this
     // also checks the counter starts before arming, not at process start.
     let warm = s.alloc(4096).unwrap();
-    s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::DevAlloc, 0)));
+    s.gmac()
+        .with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::DevAlloc, 0)));
     let (device, nth) = assert_injected(s.alloc(4096).unwrap_err(), FaultOp::DevAlloc);
     assert_eq!(device, 0);
     assert_eq!(nth, 0);
     // The refused alloc left no half-created object behind.
     assert_eq!(g.object_count(), 1);
-    s.with_platform(|p| p.disarm_faults());
+    s.gmac().with_platform(|p| p.disarm_faults());
     // Runtime fully usable: fresh alloc, kernel call, sync, data intact.
     let p = s.alloc(4096).unwrap();
     s.store::<u32>(p, 7).unwrap();
@@ -69,12 +70,13 @@ fn reserve_failpoint_fails_the_issuing_op_before_any_worker_traffic() {
     let s = g.session();
     let p = s.alloc(64 * 1024).unwrap();
     s.store::<u32>(p, 41).unwrap();
-    s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
+    s.gmac()
+        .with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
     let err = s
         .call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
         .unwrap_err();
     assert_injected(err, FaultOp::ReserveH2d);
-    s.with_platform(|p| p.disarm_faults());
+    s.gmac().with_platform(|p| p.disarm_faults());
     // The failed call charged its release work but launched nothing; the
     // retry goes through and the data is whole.
     s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(p)])
@@ -100,7 +102,8 @@ fn mid_stream_commit_failure_surfaces_at_the_next_join_and_runtime_survives() {
         let s = g.session();
         let p = s.alloc(64 * 1024).unwrap();
         s.store_slice::<u8>(p, &[0xCD; 64 * 1024]).unwrap();
-        s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
+        s.gmac()
+            .with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
         // The release submits the flush; the worker fails the commit. The
         // error surfaces at whichever join runs first — the launch's own
         // DMA barrier or the explicit sync — exactly once.
@@ -112,7 +115,7 @@ fn mid_stream_commit_failure_surfaces_at_the_next_join_and_runtime_survives() {
         let (device, nth) = assert_injected(err, FaultOp::CommitH2d);
         assert_eq!(device, 0);
         assert_eq!(nth, 0);
-        s.with_platform(|p| p.disarm_faults());
+        s.gmac().with_platform(|p| p.disarm_faults());
         // First-error-at-next-join consumed the fault: the engine and the
         // shard stay live. Re-drive the same object end to end.
         s.store_slice::<u8>(p, &[0xEE; 64 * 1024]).unwrap();
@@ -153,10 +156,11 @@ fn failed_eviction_keeps_its_victim_in_the_rolling_fifo() {
         let s = g.session();
         let p = s.alloc(16 * block).unwrap();
         s.store::<u32>(p, 1).unwrap();
-        s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
+        s.gmac()
+            .with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::ReserveH2d, 0)));
         let err = s.store::<u32>(p.byte_add(block), 2).unwrap_err();
         assert_injected(err, FaultOp::ReserveH2d);
-        s.with_platform(|p| p.disarm_faults());
+        s.gmac().with_platform(|p| p.disarm_faults());
         for b in 2..8u64 {
             s.store::<u32>(p.byte_add(b * block), b as u32)
                 .unwrap_or_else(|e| panic!("block size {block}: first write to block {b}: {e}"));
@@ -193,7 +197,8 @@ fn inline_commit_failure_surfaces_once_at_the_next_join() {
         );
         let s = g.session();
         let p = s.alloc(size as u64).unwrap();
-        s.with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
+        s.gmac()
+            .with_platform(|p| p.arm_faults(FaultPlan::new().fail_nth(FaultOp::CommitH2d, 0)));
         // The stores themselves succeed: an eager eviction reports at a join.
         s.store_slice::<u8>(p, &vec![0xCD; size]).unwrap();
         let err = s
@@ -203,7 +208,7 @@ fn inline_commit_failure_surfaces_once_at_the_next_join() {
             .expect("injected inline commit failure was swallowed");
         let (device, nth) = assert_injected(err, FaultOp::CommitH2d);
         assert_eq!((device, nth), (0, 0), "block size {block}");
-        s.with_platform(|p| p.disarm_faults());
+        s.gmac().with_platform(|p| p.disarm_faults());
         assert_eq!(g.report().dma_in_flight, 0);
         // Consumed: nothing left to raise, same object and engine keep working.
         s.store_slice::<u8>(p, &vec![0xEE; size]).unwrap();
@@ -232,7 +237,7 @@ fn seeded_plans_inject_identically_across_runs() {
         );
         let s = g.session();
         let p = s.alloc(32 * 1024).unwrap();
-        s.with_platform(|pl| {
+        s.gmac().with_platform(|pl| {
             pl.arm_faults(FaultPlan::new().fail_seeded(FaultOp::CommitH2d, seed, 20_000))
         });
         let mut trace = Vec::new();

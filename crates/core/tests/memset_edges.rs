@@ -119,10 +119,10 @@ fn whole_object_fill_after_kernel_style_invalidation() {
     c.store_slice::<u8>(p, &vec![1u8; (4 * BLOCK) as usize])
         .unwrap();
     c.release_to_device().unwrap();
-    let before = c.transfers().d2h_bytes;
+    let before = c.gmac().transfers().d2h_bytes;
     c.memset(p, 0x42, 4 * BLOCK).unwrap();
     assert_eq!(
-        c.transfers().d2h_bytes,
+        c.gmac().transfers().d2h_bytes,
         before,
         "no fetch for a full overwrite"
     );

@@ -223,7 +223,7 @@ fn evicted_and_refetched_object_mid_epoch_is_not_a_false_positive() {
     s.store_slice::<u8>(a, &vec![0xAB; 16 << 20]).unwrap();
     let _b = s.alloc(16 << 20).unwrap();
     let _c = s.alloc(16 << 20).unwrap(); // evicts a (or b)
-    assert!(s.counters().evictions >= 1, "pressure must evict");
+    assert!(s.gmac().counters().evictions >= 1, "pressure must evict");
     // Refetch + write + full call/sync cycle on the evicted object.
     s.store::<u32>(a, 5).unwrap();
     s.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(a)])
@@ -251,7 +251,7 @@ fn eviction_does_not_lose_a_pending_race() {
     a.store::<u32>(x, 42).unwrap(); // A's unsynced write
     let _fill1 = a.alloc(16 << 20).unwrap();
     let _fill2 = a.alloc(16 << 20).unwrap(); // evicts x
-    assert!(a.counters().evictions >= 1, "pressure must evict");
+    assert!(a.gmac().counters().evictions >= 1, "pressure must evict");
     match b.call("nop", LaunchDims::for_elements(1, 1), &[Param::Shared(x)]) {
         Err(GmacError::RaceDetected { object, kinds, .. }) => {
             assert_eq!(object, x.addr());

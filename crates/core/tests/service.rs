@@ -13,7 +13,7 @@
 //!    ledger entry, fault/transfer counters — across queued mode, inline
 //!    mode ([`GmacConfig::service`]`(false)`) and direct (service-less)
 //!    execution. The service is wall-clock-only machinery, like
-//!    `sharding`/`tlb`/`async_dma`/`mmap_backing` before it.
+//!    `tlb`/`async_dma`/`mmap_backing` before it.
 
 use gmac::AdmissionReason;
 use gmac::{Gmac, GmacConfig, GmacError, Priority};

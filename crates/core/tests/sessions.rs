@@ -81,7 +81,7 @@ fn vecadd_cycle_is_correct_under_every_protocol() {
         c.free(a).unwrap();
         c.free(b).unwrap();
         c.free(out).unwrap();
-        assert_eq!(c.object_count(), 0, "{protocol}");
+        assert_eq!(c.gmac().object_count(), 0, "{protocol}");
     }
 }
 
@@ -113,7 +113,7 @@ fn iterative_kernel_reuses_device_data_cheaply() {
             let v: f32 = c.load(out).unwrap();
             assert_eq!(v, 3.0);
         }
-        transfer_totals.push((protocol, c.transfers().total_bytes()));
+        transfer_totals.push((protocol, c.gmac().transfers().total_bytes()));
     }
     let batch = transfer_totals[0].1;
     let lazy = transfer_totals[1].1;
@@ -153,13 +153,13 @@ fn write_annotation_avoids_transfer_back() {
     )
     .unwrap();
     c.sync().unwrap();
-    let before = c.transfers().d2h_bytes;
+    let before = c.gmac().transfers().d2h_bytes;
     // Reading the *input* costs nothing: it was never invalidated.
     let _: Vec<f32> = c.load_slice(a, N).unwrap();
-    assert_eq!(c.transfers().d2h_bytes, before);
+    assert_eq!(c.gmac().transfers().d2h_bytes, before);
     // Reading the output fetches it.
     let _: Vec<f32> = c.load_slice(out, N).unwrap();
-    assert!(c.transfers().d2h_bytes > before);
+    assert!(c.gmac().transfers().d2h_bytes > before);
 }
 
 #[test]
@@ -260,7 +260,7 @@ fn load_store_scalar_roundtrip_with_faults() {
     c.store::<f64>(p, 3.25).unwrap();
     assert_eq!(c.load::<f64>(p).unwrap(), 3.25);
     // The first store faulted (read-only -> dirty).
-    assert!(c.counters().faults_write >= 1);
+    assert!(c.gmac().counters().faults_write >= 1);
     // Freed pointers are rejected.
     c.free(p).unwrap();
     assert!(matches!(c.load::<f64>(p), Err(GmacError::NotShared(_))));
@@ -289,8 +289,8 @@ fn signal_overhead_is_small_fraction_of_runtime() {
         .unwrap();
     c.sync().unwrap();
     let _ = c.load_slice::<f32>(out, n).unwrap();
-    let signal = c.ledger().get(hetsim::Category::Signal).as_nanos() as f64;
-    let total = c.ledger().total().as_nanos() as f64;
+    let signal = c.gmac().ledger().get(hetsim::Category::Signal).as_nanos() as f64;
+    let total = c.gmac().ledger().total().as_nanos() as f64;
     assert!(signal / total < 0.02, "signal {signal} / total {total}");
 }
 
@@ -300,7 +300,7 @@ fn ledger_partitions_total_time() {
     let c = session(Protocol::Rolling);
     let p = c.alloc(1 << 20).unwrap();
     c.store_slice(p, &vec![1.0f32; 1000]).unwrap();
-    c.with_platform(|p| p.cpu_touch(1 << 20));
+    c.gmac().with_platform(|p| p.cpu_touch(1 << 20));
     let params = [
         Param::Shared(p),
         Param::Shared(p),
@@ -311,5 +311,5 @@ fn ledger_partitions_total_time() {
         .unwrap();
     c.sync().unwrap();
     let _ = c.load::<f32>(p).unwrap();
-    assert_eq!(c.ledger().total(), c.elapsed());
+    assert_eq!(c.gmac().ledger().total(), c.gmac().elapsed());
 }

@@ -28,7 +28,7 @@ struct Toggle {
     flip: fn(GmacConfig) -> GmacConfig,
 }
 
-const TOGGLES: [Toggle; 6] = [
+const TOGGLES: [Toggle; 5] = [
     Toggle {
         name: "async_dma",
         inputs: || suite(GmacConfig::default()),
@@ -58,11 +58,6 @@ const TOGGLES: [Toggle; 6] = [
         // (accessible spans never probe the software TLB).
         inputs: || suite(GmacConfig::default().mmap_backing(false)),
         flip: |c| c.tlb(false),
-    },
-    Toggle {
-        name: "sharding",
-        inputs: || suite(GmacConfig::default()),
-        flip: |c| c.sharding(false),
     },
     Toggle {
         name: "evict",
@@ -163,11 +158,6 @@ fn tlb_off_is_byte_identical() {
         assert_eq!(off.obj_memo_hits, 0, "{name}: memo disabled");
     }
     assert!(suite_hits > 0, "cached translations observed in the suite");
-}
-
-#[test]
-fn sharding_off_is_byte_identical() {
-    check("sharding");
 }
 
 #[test]

@@ -182,7 +182,7 @@ impl Workload for Cp {
 
     fn run_gmac(&self, ctx: &Session) -> WorkloadResult<u64> {
         let atoms = self.atoms();
-        ctx.with_platform(|p| self.charge_atom_generation(p));
+        ctx.gmac().with_platform(|p| self.charge_atom_generation(p));
         let s_atoms = ctx.alloc(self.atoms_bytes())?;
         let s_grid = ctx.alloc(self.grid_bytes())?;
         ctx.store_slice(s_atoms, &atoms)?;

@@ -258,7 +258,7 @@ impl Workload for Sad {
                 i += 7 * 3;
             }
             // The encoder's motion-compensation pass on the CPU.
-            ctx.with_platform(|p| {
+            ctx.gmac().with_platform(|p| {
                 p.cpu_compute(
                     (self.width * self.height) as f64 * 8.0,
                     self.frame_bytes() as f64,

@@ -65,7 +65,8 @@ fn pipeline(protocol: Protocol, size: u64, block: u64) {
 
     // Validate the file contents against the expected transform.
     let mut out = vec![0u8; size as usize];
-    ctx.with_platform(|p| p.fs_mut().read_at("output.bin", 0, &mut out))
+    ctx.gmac()
+        .with_platform(|p| p.fs_mut().read_at("output.bin", 0, &mut out))
         .unwrap();
     let expected: Vec<u8> = data.iter().map(|b| b ^ 0x77).collect();
     assert_eq!(out, expected, "{protocol} pipeline corrupted data");
@@ -108,7 +109,8 @@ fn partial_file_reads_and_offsets() {
     ctx.write_shared_to_file("out.bin", 7, obj.byte_add(1000), 30_000)
         .unwrap();
     let mut out = vec![0u8; 30_007];
-    ctx.with_platform(|p| p.fs_mut().read_at("out.bin", 0, &mut out))
+    ctx.gmac()
+        .with_platform(|p| p.fs_mut().read_at("out.bin", 0, &mut out))
         .unwrap();
     assert_eq!(&out[7..], &data[50_000..80_000]);
     assert!(out[..7].iter().all(|&b| b == 0));
